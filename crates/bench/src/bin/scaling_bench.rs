@@ -3,10 +3,8 @@
 //!
 //! Runs the paper-scale six-algorithm forwarding study (algorithm × run
 //! jobs through one `Simulator::run_many` batch, exactly like the study
-//! driver) and records wall-clock curves over a list of worker-thread
-//! counts, plus the single-worker engine headline: the consolidated engine
-//! (skip index + cross-worker shared utility tables) against the
-//! pre-consolidation engine (`EngineTuning::all_off`) on one thread.
+//! driver) and records wall-clock min/median/max over a list of
+//! worker-thread counts.
 //!
 //! ```text
 //! psn-scaling-bench --threads-list 1,2,4,8 --reps 3
@@ -15,15 +13,15 @@
 //!
 //! The host's `available_parallelism` is printed so curves recorded on an
 //! oversubscribed host (thread counts above the core count) are honest
-//! about it. Every configuration's outcomes are checked bit-identical to
-//! the single-thread legacy-engine baseline before any number is reported;
+//! about it. Every thread count's outcomes are checked bit-identical to
+//! `Simulator::run_reference` on each job before any number is reported;
 //! a mismatch exits nonzero.
 
 use std::time::Instant;
 
 use psn_forwarding::{
-    standard_algorithms, EngineTuning, ForwardingAlgorithm, HistoryTimeline, SimulationResult,
-    Simulator, SimulatorConfig,
+    standard_algorithms, ForwardingAlgorithm, HistoryTimeline, SimulationResult, Simulator,
+    SimulatorConfig,
 };
 use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig, SpaceTimeGraph};
 use psn_trace::{ContactTrace, DatasetId, SyntheticDataset};
@@ -35,26 +33,23 @@ struct Args {
     runs: usize,
     /// Mean message inter-arrival in seconds (the paper uses 4 s).
     interarrival: f64,
-    /// Timed repetitions per configuration (median wins).
+    /// Timed repetitions per thread count.
     reps: usize,
     /// Reduced scale for CI smoke.
     quick: bool,
-    /// Additionally print a per-algorithm legacy-vs-consolidated breakdown.
-    per_algorithm: bool,
     seed: u64,
 }
 
 impl Default for Args {
     fn default() -> Self {
-        Self { runs: 3, interarrival: 4.0, reps: 3, quick: false, per_algorithm: false, seed: 11 }
+        Self { runs: 3, interarrival: 4.0, reps: 3, quick: false, seed: 11 }
     }
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: psn-scaling-bench [--threads-list T1,T2,...] [--runs N] [--reps N]\n\
-         \x20                        [--interarrival SECS] [--seed N] [--quick]\n\
-         \x20                        [--per-algorithm]"
+         \x20                        [--interarrival SECS] [--seed N] [--quick]"
     );
     std::process::exit(2)
 }
@@ -89,7 +84,6 @@ fn parse_args() -> (Args, Vec<usize>) {
             "--interarrival" => args.interarrival = parse(&value("--interarrival")),
             "--seed" => args.seed = parse(&value("--seed")),
             "--quick" => args.quick = true,
-            "--per-algorithm" => args.per_algorithm = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -133,49 +127,42 @@ fn workload(args: &Args) -> (ContactTrace, Vec<Vec<Message>>) {
     (trace, message_sets)
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite wall-clock times"));
-    samples[samples.len() / 2]
-}
-
-/// Times `run_many` over the full algorithm × run job list, returning the
-/// median wall-clock over `reps` repetitions and the (rep-invariant)
-/// results.
-fn time_config(
+/// Times `run_many` over `jobs` at `threads` workers, returning the
+/// wall-clock samples of `reps` repetitions, sorted ascending, and the
+/// (rep-invariant) results.
+fn time_threads(
     trace: &ContactTrace,
     graph: &std::sync::Arc<SpaceTimeGraph>,
     timeline: &std::sync::Arc<HistoryTimeline>,
-    message_sets: &[Vec<Message>],
+    jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
     threads: usize,
-    tuning: EngineTuning,
     reps: usize,
-) -> (f64, Vec<SimulationResult>) {
-    let config = SimulatorConfig { delta: 10.0, threads, tuning };
+) -> (Vec<f64>, Vec<SimulationResult>) {
+    let config = SimulatorConfig { delta: 10.0, threads };
     let simulator =
         Simulator::from_parts(trace, std::sync::Arc::clone(graph), timeline.clone(), config);
-    let algorithms = standard_algorithms();
-    let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> = algorithms
-        .iter()
-        .flat_map(|(_, a)| message_sets.iter().map(move |m| (a.as_ref() as _, m.as_slice())))
-        .collect();
     let mut walls = Vec::with_capacity(reps);
     let mut results = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let out = simulator.run_many(&jobs);
+        let out = simulator.run_many(jobs);
         walls.push(start.elapsed().as_secs_f64());
         results = Some(out);
     }
-    (median(&mut walls), results.expect("at least one rep"))
+    walls.sort_by(f64::total_cmp);
+    (walls, results.expect("at least one rep"))
 }
 
-/// Exits nonzero unless both configurations produced byte-identical
-/// per-message outcomes (delivery times and hop paths).
-fn assert_identical(label: &str, baseline: &[SimulationResult], candidate: &[SimulationResult]) {
-    assert_eq!(baseline.len(), candidate.len(), "{label}: job counts differ");
-    for (b, c) in baseline.iter().zip(candidate) {
-        if b.algorithm != c.algorithm || b.outcomes != c.outcomes {
-            eprintln!("FAIL: {label}: outcomes diverge from baseline for {}", b.algorithm);
+/// Exits nonzero unless the engine produced byte-identical per-message
+/// outcomes (delivery times and hop paths) to the reference engine.
+fn assert_identical(label: &str, reference: &[SimulationResult], candidate: &[SimulationResult]) {
+    assert_eq!(reference.len(), candidate.len(), "{label}: job counts differ");
+    for (r, c) in reference.iter().zip(candidate) {
+        if r.algorithm != c.algorithm || r.outcomes != c.outcomes {
+            eprintln!(
+                "FAIL: {label}: outcomes diverge from the reference engine for {}",
+                r.algorithm
+            );
             std::process::exit(1);
         }
     }
@@ -188,6 +175,12 @@ fn main() {
     let timeline = std::sync::Arc::new(HistoryTimeline::build(&graph));
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let total_messages: usize = message_sets.iter().map(|m| m.len()).sum();
+    let algorithms = standard_algorithms();
+    // Algorithm × run jobs, batched like the study driver does.
+    let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> = algorithms
+        .iter()
+        .flat_map(|(_, a)| message_sets.iter().map(move |m| (a.as_ref() as _, m.as_slice())))
+        .collect();
 
     println!(
         "workload: {} ({} nodes, {:.0} s window, {} busy slots), {} algorithms x {} runs, {} messages/engine pass",
@@ -195,90 +188,41 @@ fn main() {
         trace.node_count(),
         trace.window().end - trace.window().start,
         graph.busy_slots().len(),
-        standard_algorithms().len(),
+        algorithms.len(),
         message_sets.len(),
         total_messages,
     );
     println!(
-        "host: available_parallelism = {cores}; timing: median of {} reps; thread counts above {cores} are oversubscribed on this host",
+        "host: available_parallelism = {cores}; timing: min/median/max of {} reps; thread counts above {cores} are oversubscribed on this host",
         args.reps
     );
 
-    // Single-worker engine headline: consolidated vs pre-consolidation.
-    let (legacy_wall, legacy_results) = time_config(
+    // The byte-identity oracle: the serial reference engine, job by job.
+    let reference_sim = Simulator::from_parts(
         &trace,
-        &graph,
-        &timeline,
-        &message_sets,
-        1,
-        EngineTuning::all_off(),
-        args.reps,
+        std::sync::Arc::clone(&graph),
+        timeline.clone(),
+        SimulatorConfig::default(),
     );
-    let (new_wall, new_results) = time_config(
-        &trace,
-        &graph,
-        &timeline,
-        &message_sets,
-        1,
-        EngineTuning::default(),
-        args.reps,
-    );
-    assert_identical("engine consolidation @ 1 thread", &legacy_results, &new_results);
-    println!(
-        "\nsingle-worker headline: legacy {legacy_wall:.3} s -> consolidated {new_wall:.3} s ({:.2}x)",
-        legacy_wall / new_wall
-    );
+    let reference: Vec<SimulationResult> = jobs
+        .iter()
+        .map(|(algorithm, messages)| reference_sim.run_reference(*algorithm, messages))
+        .collect();
 
-    if args.per_algorithm {
-        println!("\nper-algorithm breakdown @ 1 thread (legacy vs consolidated):");
-        for (kind, algorithm) in &standard_algorithms() {
-            let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
-                message_sets.iter().map(|m| (algorithm.as_ref() as _, m.as_slice())).collect();
-            let wall_for = |tuning: EngineTuning| {
-                let config = SimulatorConfig { delta: 10.0, threads: 1, tuning };
-                let simulator = Simulator::from_parts(
-                    &trace,
-                    std::sync::Arc::clone(&graph),
-                    timeline.clone(),
-                    config,
-                );
-                let mut walls = Vec::with_capacity(args.reps);
-                for _ in 0..args.reps {
-                    let start = Instant::now();
-                    let out = simulator.run_many(&jobs);
-                    walls.push(start.elapsed().as_secs_f64());
-                    std::hint::black_box(out);
-                }
-                median(&mut walls)
-            };
-            let legacy = wall_for(EngineTuning::all_off());
-            let both = wall_for(EngineTuning::default());
-            let skip_only = wall_for(EngineTuning { skip_index: true, shared_tables: false });
-            let tables_only = wall_for(EngineTuning { skip_index: false, shared_tables: true });
-            println!(
-                "  {kind:<22} legacy {legacy:.3} s | skip {skip_only:.3} s | tables {tables_only:.3} s | both {both:.3} s ({:.2}x)",
-                legacy / both
-            );
-        }
-    }
-
-    println!("\nthread-scaling curve (consolidated engine):");
+    println!("\nthread-scaling curve (wall s):");
+    let mut first_median = None;
     for &threads in &threads_list {
-        let (wall, results) = time_config(
-            &trace,
-            &graph,
-            &timeline,
-            &message_sets,
-            threads,
-            EngineTuning::default(),
-            args.reps,
-        );
-        assert_identical(&format!("{threads} threads"), &legacy_results, &results);
+        let (walls, results) = time_threads(&trace, &graph, &timeline, &jobs, threads, args.reps);
+        assert_identical(&format!("{threads} threads"), &reference, &results);
+        let median = walls[walls.len() / 2];
+        let base = *first_median.get_or_insert(median);
         println!(
-            "  threads={threads:<2} wall {wall:.3} s | {:.2}x vs consolidated@1 | {:.2}x vs legacy@1 | outcomes identical",
-            new_wall / wall,
-            legacy_wall / wall,
+            "  threads={threads:<2} min {:.3} | median {median:.3} | max {:.3} | median {:.2}x vs threads={} | outcomes identical",
+            walls[0],
+            walls[walls.len() - 1],
+            base / median,
+            threads_list[0],
         );
     }
-    println!("\nall configurations byte-identical to the single-thread legacy engine");
+    println!("\nall thread counts byte-identical to the reference engine");
 }

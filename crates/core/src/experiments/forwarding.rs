@@ -250,12 +250,8 @@ pub fn run_forwarding_study_shared(
     // The simulator's Δ must match however the graph was discretized — a
     // `params.delta` sweep axis reaches here with non-default slotting.
     let delta = graph.as_graph_ref().delta();
-    let simulator = Simulator::from_parts(
-        trace,
-        graph,
-        timeline,
-        SimulatorConfig { delta, threads, ..SimulatorConfig::default() },
-    );
+    let simulator =
+        Simulator::from_parts(trace, graph, timeline, SimulatorConfig { delta, threads });
     let rates = ContactRates::from_trace(trace);
     run_forwarding_study_with(scenario, rates, trace.window(), simulator, workload, runs)
 }
@@ -283,7 +279,7 @@ pub fn run_forwarding_study_streamed(
         psn_forwarding::TraceOracle::from_summary(summary),
         graph,
         timeline,
-        SimulatorConfig { delta, threads, ..SimulatorConfig::default() },
+        SimulatorConfig { delta, threads },
     );
     run_forwarding_study_with(
         scenario,

@@ -73,7 +73,7 @@ pub trait ForwardingAlgorithm: Send + Sync {
     ///   [`contacts_with`](crate::history::ContactKnowledge::contacts_with))
     ///   plus immutable oracle data — so it can only change in slots where
     ///   `node` and `destination` are in contact, which is what lets the
-    ///   engine maintain it incrementally per message;
+    ///   engine memoize it until the pair's next contact;
     /// * if `destination_aware` is `false`, the value must ignore
     ///   `destination` entirely, but may then use any per-node history
     ///   statistic (the engine recomputes it per slot and shares it across
@@ -97,7 +97,7 @@ pub trait ForwardingAlgorithm: Send + Sync {
     /// mutable contact history — only on oracle/trace data — so its value
     /// for a `(node, destination)` pair is constant over the whole
     /// simulation. The engine then fills each utility table once (per job
-    /// or per message) instead of refreshing it per slot. Only meaningful
+    /// or per destination) instead of per slot. Only meaningful
     /// when `copy_utility` returns `Some`.
     fn utility_is_static(&self) -> bool {
         false

@@ -56,5 +56,5 @@ pub use history::{ContactHistory, ContactKnowledge};
 pub use metrics::{AlgorithmMetrics, MessageOutcome, PairTypeMetrics};
 pub use oracle::TraceOracle;
 pub use pairtype::{classify_message, PairType};
-pub use simulator::{EngineTuning, SimulationResult, Simulator, SimulatorConfig};
+pub use simulator::{SimulationResult, Simulator, SimulatorConfig};
 pub use timeline::{HistoryTimeline, HistoryView, TimelineBuilder};

@@ -34,9 +34,11 @@
 //!   across `std::thread::scope` workers via an `AtomicUsize` work queue
 //!   over (job × message-chunk) items; each worker visits only busy slots
 //!   from the message's creation slot and stops at delivery, so delivered
-//!   and not-yet-created messages cost nothing. It also **pins a slot only
-//!   on act**: under the default skip-index tuning the per-slot precheck
-//!   reads the timeline's activity and neighbor bitmasks, the
+//!   and not-yet-created messages cost nothing; idle messages jump to the
+//!   next slot where a holder is active (the timeline's skip index).
+//!   Utility tables are built exactly once per job across all workers. The
+//!   engine also **pins a slot only on act**: the per-slot precheck reads
+//!   the timeline's activity and neighbor bitmasks, the
 //!   destination-unaware utility tables of a windowed graph walk its
 //!   edges off the same masks, and the slot itself is read only by the
 //!   fixpoint sweep of a slot the precheck passed (for the
@@ -79,45 +81,11 @@ pub struct SimulatorConfig {
     /// thread per available core. The thread count never affects results —
     /// only wall-clock time.
     pub threads: usize,
-    /// Engine speed toggles. All on by default; results never depend on
-    /// them (pinned by differential tests over every combination).
-    pub tuning: EngineTuning,
 }
 
 impl Default for SimulatorConfig {
     fn default() -> Self {
-        Self { delta: 10.0, threads: 0, tuning: EngineTuning::default() }
-    }
-}
-
-/// Independent on/off switches for the parallel engine's speed paths.
-///
-/// Every combination produces bit-identical [`MessageOutcome`]s — the
-/// switches exist so differential suites can force each path against the
-/// reference engine and so benchmarks can measure each win in isolation
-/// (`all_off` is the pre-consolidation engine, the scaling bench's
-/// baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineTuning {
-    /// Jump idle messages via [`HistoryTimeline::next_active_slot`] instead
-    /// of scanning every busy slot for an active holder.
-    pub skip_index: bool,
-    /// Build utility tables exactly once per (job, slot[, destination]) in
-    /// a latched cross-worker store instead of once per worker (and, for
-    /// destination-aware algorithms, once per message).
-    pub shared_tables: bool,
-}
-
-impl Default for EngineTuning {
-    fn default() -> Self {
-        Self { skip_index: true, shared_tables: true }
-    }
-}
-
-impl EngineTuning {
-    /// The pre-consolidation engine: per-worker tables, full busy-slot scan.
-    pub fn all_off() -> Self {
-        Self { skip_index: false, shared_tables: false }
+        Self { delta: 10.0, threads: 0 }
     }
 }
 
@@ -188,11 +156,12 @@ enum DecisionMode {
         /// See [`ForwardingAlgorithm::utility_is_static`].
         is_static: bool,
     },
-    /// Destination-aware utilities: initialized per message at its first
-    /// busy slot, then refreshed only for nodes that contact the
-    /// destination (the `copy_utility` contract guarantees nothing else can
-    /// change them). With `is_static` the per-slot refresh is skipped
-    /// entirely.
+    /// Destination-aware utilities. With `is_static` one table per (job,
+    /// destination) serves every message to that destination; otherwise
+    /// the lazy per-destination memo evaluates a node's utility on first
+    /// comparison and keeps it until the node next contacts the
+    /// destination (the `copy_utility` contract guarantees nothing else
+    /// can change it).
     PerMessageUtility {
         /// See [`ForwardingAlgorithm::utility_is_static`].
         is_static: bool,
@@ -248,9 +217,8 @@ fn mask_edges(timeline: &HistoryTimeline, slot: usize) -> Vec<(NodeId, NodeId)> 
 
 /// A slot pinned on first use. The windowed graph's hot-set lookup (and,
 /// for a cold slot, its spill reload) runs only when a caller reads the
-/// slot's data, so under the skip-index tuning a slot the timeline-mask
-/// precheck rejects is never pinned; on the materialized graph the pin is
-/// a free borrow.
+/// slot's data, so a slot the timeline-mask precheck rejects is never
+/// pinned; on the materialized graph the pin is a free borrow.
 struct LazySlot<'g> {
     graph: GraphRef<'g>,
     slot: usize,
@@ -397,61 +365,26 @@ fn closure_escapes(reach: &[u64], active: &[u64], holder_mask: &[u64]) -> bool {
     false
 }
 
-/// The sweep-actionability precheck under one utility order: true iff some
-/// candidate holder has a neighbor that is the destination or a
-/// strictly-higher-utility non-holder. Generic over the utility reader so
-/// each mode compiles to a direct slice load (or an inlined lazy-memo
-/// read) instead of a dynamic call per neighbor; the candidate's own
-/// utility is evaluated at most once however many neighbors it has.
-#[inline]
-fn any_actionable(
-    candidates: &[NodeId],
-    slot_data: &Slot,
-    holders: &[bool],
-    destination: NodeId,
-    mut value: impl FnMut(NodeId) -> f64,
-) -> bool {
-    candidates.iter().any(|&h| {
-        let mut own = None;
-        slot_data.neighbors(h).iter().any(|&nb| {
-            nb == destination
-                || (!holders[nb.index()] && {
-                    let own = *own.get_or_insert_with(|| value(h));
-                    value(nb) > own
-                })
-        })
-    })
-}
-
-/// Dispatches the utility-mode actionability precheck: under the skip
-/// index, runs entirely on the timeline's per-slot neighbor bitmasks — a
-/// two-word destination-adjacency test for delivery, then per active
-/// holder a `neighbors ∧ ¬holders` word combination whose surviving bits
-/// (the holder's non-holder slot neighbors) are the only nodes whose
-/// utilities get read at all. Contiguous word loads replace the per-slot
-/// adjacency-vector chasing of the scan below, which stays as the
-/// pre-consolidation path (whole-holder-list neighbor scan, exactly like
-/// the engine always did) and is the only reader of the slot's data, so
-/// the mask path never pins the slot. Both are exact: a sweep acts iff a
-/// holder sits next to the destination or to a strictly-higher-utility
-/// non-holder.
-#[allow(clippy::too_many_arguments)]
+/// The utility-mode actionability precheck, run entirely on the timeline's
+/// per-slot neighbor bitmasks: a two-word destination-adjacency test for
+/// delivery, then per active holder a `neighbors ∧ ¬holders` word
+/// combination whose surviving bits (the holder's non-holder slot
+/// neighbors) are the only nodes whose utilities get read at all. It never
+/// pins the slot. Exact: a sweep acts iff a holder sits next to the
+/// destination or to a strictly-higher-utility non-holder. Generic over
+/// the utility reader so each mode compiles to a direct slice load (or an
+/// inlined lazy-memo read) instead of a dynamic call per neighbor; a
+/// holder's own utility is evaluated at most once however many neighbors
+/// it has.
 #[inline]
 fn utility_actionable(
-    skip_index: bool,
     timeline: &HistoryTimeline,
     slot: usize,
     holder_mask: &[u64],
     active: &[u64],
-    holder_list: &[NodeId],
-    slot_data: &LazySlot<'_>,
-    holders: &[bool],
     destination: NodeId,
     mut value: impl FnMut(NodeId) -> f64,
 ) -> bool {
-    if !skip_index {
-        return any_actionable(holder_list, slot_data.get(), holders, destination, value);
-    }
     // Delivery: some holder shares an edge with the destination. (Slot
     // neighbors are mutual, so this is the destination's row against the
     // holder mask.)
@@ -541,19 +474,19 @@ fn sweep_slot(
 enum SlotUtility<'a> {
     /// No utility decomposition: per-decision `should_forward` calls.
     Direct,
-    /// A job- or slot-wide table (destination-unaware modes), plus — under
-    /// the skip-index tuning — the slot's shared precheck structures
-    /// (promising mask and reachability closure), which make the
-    /// actionability precheck exact in a handful of word intersections.
+    /// A job- or slot-wide table (destination-unaware modes), plus the
+    /// slot's shared precheck structures (promising mask and reachability
+    /// closure), which make the actionability precheck exact in a handful
+    /// of word intersections.
     Shared {
         /// Per-node utilities.
         utils: &'a [f64],
         /// The shared per-slot table carrying the promising mask and the
-        /// reachability closure, when the skip-index tuning built them.
-        precheck: Option<&'a UtilityTable>,
+        /// reachability closure.
+        precheck: &'a UtilityTable,
     },
-    /// The per-message table in `WorkerScratch::utilities`, kept exact by
-    /// fill + incremental refresh.
+    /// The per-destination static table copied into
+    /// `WorkerScratch::utilities` at the message's first visited slot.
     PerMessage,
     /// The lazy memo: `WorkerScratch::utilities[v]` is evaluated on first
     /// comparison and stays exact while `slot < valid_until[v]` (the
@@ -592,9 +525,9 @@ impl TableLatch {
     }
 }
 
-/// One published shared utility table: the per-node utilities plus, when
-/// the skip-index tuning is on and the table is bound to a slot, the
-/// slot's per-node *promising* bitmask (see [`build_promising`]) and
+/// One published shared utility table: the per-node utilities plus, for
+/// the destination-unaware modes' per-slot tables, the slot's per-node
+/// *promising* bitmask (see [`build_promising`]) and
 /// within-slot reachability closure (see [`build_reach`]). Static job-wide
 /// tables carry empty masks; the per-slot precheck entries a static job
 /// publishes carry empty utilities.
@@ -617,12 +550,12 @@ enum TableState {
 /// Keyed by `(slot, destination)` with [`NO_KEY`] marking a dimension the
 /// job's [`DecisionMode`] does not depend on: `(NO_KEY, NO_KEY)` for static
 /// destination-unaware utilities (one table per job), `(slot, NO_KEY)` for
-/// dynamic destination-unaware ones, `(NO_KEY, dest)` / `(slot, dest)` for
-/// the destination-aware modes. Every table is built **exactly once per
-/// job** no matter how many workers shard its messages — the per-worker
-/// rebuild (and, for destination-aware algorithms, the per-*message*
-/// rebuild) was the dominant redundant work in the pre-consolidation
-/// engine.
+/// per-slot destination-unaware tables (dynamic utilities, or a static
+/// job's precheck masks), `(NO_KEY, dest)` for static destination-aware
+/// utilities. (Dynamic destination-aware utilities use the worker-local
+/// lazy memo instead.) Every table is built **exactly once per job** no
+/// matter how many workers shard its messages, instead of once per worker
+/// (and, for destination-aware algorithms, once per message).
 ///
 /// Sharing is exact, not approximate: the `copy_utility` contract pins the
 /// utility of a node at a slot to a pure function of (slot history,
@@ -697,8 +630,7 @@ impl JobTables {
 
 /// Reusable per-worker buffers: the message copy-state, the holder list,
 /// the per-message utility vector and the per-(job, slot) utility cache —
-/// a lock-free L1 over the cross-worker [`JobTables`] store (or the
-/// per-worker table itself when shared tables are tuned off).
+/// a lock-free L1 over the cross-worker [`JobTables`] store.
 struct WorkerScratch {
     state: MessageState,
     /// Nodes currently holding a copy, in acquisition order — scanned to
@@ -932,25 +864,19 @@ impl Simulator {
         let mut outcomes: Vec<Vec<Option<MessageOutcome>>> =
             jobs.iter().map(|(_, m)| vec![None; m.len()]).collect();
 
-        // One cross-worker table store per job (tuning permitting): every
-        // worker sharding a job's messages reads and fills the same
-        // exactly-once-latched tables.
-        let tables: Option<Vec<JobTables>> = self
-            .config
-            .tuning
-            .shared_tables
-            .then(|| jobs.iter().map(|_| JobTables::new()).collect());
+        // One cross-worker table store per job: every worker sharding a
+        // job's messages reads and fills the same exactly-once-latched
+        // tables.
+        let tables: Vec<JobTables> = jobs.iter().map(|_| JobTables::new()).collect();
 
         let process_item = |scratch: &mut WorkerScratch,
                             (job_idx, start, end): (usize, usize, usize)|
          -> Vec<MessageOutcome> {
             let (algorithm, messages) = jobs[job_idx];
             scratch.bind_job(job_idx);
-            let job_tables = tables.as_ref().map(|t| &t[job_idx]);
+            let job_tables = &tables[job_idx];
             let chunk = &messages[start..end];
-            let lazy_memo = self.config.tuning.skip_index
-                && modes[job_idx] == (DecisionMode::PerMessageUtility { is_static: false });
-            if lazy_memo {
+            if modes[job_idx] == (DecisionMode::PerMessageUtility { is_static: false }) {
                 // Lazy jobs memoize utility evaluations per destination
                 // (`WorkerScratch::lazy_key`); processing the chunk grouped
                 // by destination lets every message to the same destination
@@ -1099,15 +1025,15 @@ impl Simulator {
 
     /// Simulates one message to its per-slot fixpoint against the shared
     /// timeline. Visits only busy slots from the creation slot onward and
-    /// stops at delivery; with the skip index tuned on, stretches of busy
-    /// slots where no holder has a contact are jumped over entirely.
+    /// stops at delivery; stretches of busy slots where no holder has a
+    /// contact are jumped over entirely.
     fn simulate_message(
         &self,
         algorithm: &dyn ForwardingAlgorithm,
         mode: DecisionMode,
         message: &Message,
         scratch: &mut WorkerScratch,
-        tables: Option<&JobTables>,
+        tables: &JobTables,
     ) -> MessageOutcome {
         let WorkerScratch {
             state,
@@ -1134,13 +1060,11 @@ impl Simulator {
         let busy = graph.busy_slots();
         let first_busy = busy.partition_point(|&s| s < creation_slot);
         let destination = message.destination;
-        let skip_index = self.config.tuning.skip_index;
-        // Destination-aware dynamic utilities under the skip-index tuning
-        // use the lazy memo (evaluate on comparison, valid until the node's
-        // next destination contact) instead of the eager full fill +
-        // per-slot refresh — the `copy_utility` contract makes both exact,
-        // and the memo touches only nodes that are actually compared.
-        let lazy = skip_index && mode == (DecisionMode::PerMessageUtility { is_static: false });
+        // Destination-aware dynamic utilities use the lazy memo: evaluate
+        // on comparison, valid until the node's next destination contact.
+        // The `copy_utility` contract makes it exact, and it touches only
+        // nodes that are actually compared.
+        let lazy = mode == (DecisionMode::PerMessageUtility { is_static: false });
         if lazy {
             // The memo is keyed by (job, destination): its entries are
             // destination-pair facts with maximal validity intervals,
@@ -1155,8 +1079,8 @@ impl Simulator {
                 valid_until.fill(0);
             }
         } else {
-            // Non-lazy modes reuse the `utilities` buffer (eager fills,
-            // per-slot refreshes), so any stored memo intervals no longer
+            // Static destination-aware jobs copy their table into the
+            // `utilities` buffer, so any stored memo intervals no longer
             // describe its contents.
             *lazy_key = (usize::MAX, u32::MAX);
         }
@@ -1175,68 +1099,45 @@ impl Simulator {
         'slots: while let Some(&slot) = busy.get(cursor) {
             cursor += 1;
 
-            // Mask fast path (skip-index tuning): answer "can this slot
-            // matter to this message?" from the timeline's per-slot
-            // activity bitmask before pinning any slot data or building a
-            // context. A slot matters only if a holder has a contact —
-            // every edge endpoint is an active node, so otherwise no copy
-            // can move and no delivery can happen.
-            let active = if skip_index { self.timeline.active_mask(slot) } else { &[][..] };
-            if skip_index {
-                if !masks_intersect(holder_mask, active) {
-                    // No holder is active: jump straight to the earliest
-                    // slot where one is again, skipping the intervening
-                    // busy slots entirely.
-                    let target = holder_list
-                        .iter()
-                        .filter_map(|&h| self.timeline.next_active_slot(h, slot + 1))
-                        .min();
-                    let Some(target) = target else {
-                        // No holder is ever active again: undeliverable.
-                        break 'slots;
-                    };
-                    cursor = busy.partition_point(|&s| s < target);
+            // Mask fast path: answer "can this slot matter to this
+            // message?" from the timeline's per-slot activity bitmask
+            // before pinning any slot data or building a context. A slot
+            // matters only if a holder has a contact — every edge endpoint
+            // is an active node, so otherwise no copy can move and no
+            // delivery can happen.
+            let active = self.timeline.active_mask(slot);
+            if !masks_intersect(holder_mask, active) {
+                // No holder is active: jump straight to the earliest slot
+                // where one is again, skipping the intervening busy slots
+                // entirely.
+                let target = holder_list
+                    .iter()
+                    .filter_map(|&h| self.timeline.next_active_slot(h, slot + 1))
+                    .min();
+                let Some(target) = target else {
+                    // No holder is ever active again: undeliverable.
+                    break 'slots;
+                };
+                cursor = busy.partition_point(|&s| s < target);
+                continue;
+            }
+            if let Some(ever) = dest_gate {
+                if !masks_intersect(ever, active) {
                     continue;
-                }
-                if let Some(ever) = dest_gate {
-                    if !masks_intersect(ever, active) {
-                        continue;
-                    }
                 }
             }
             let slot_time = graph.slot_end_time(slot);
             // Pin the slot on first use: a free borrow on the materialized
             // graph, a hot-set lookup or spill reload on the windowed one.
-            // Under the skip index the prechecks read the timeline's masks
-            // and tables pin only where that is free (`table_edges`), so a
-            // windowed slot is read only by the sweep of a slot the
-            // precheck passed.
+            // The prechecks read the timeline's masks and tables pin only
+            // where that is free (`table_edges`), so a windowed slot is
+            // read only by the sweep of a slot the precheck passed.
             let slot_data = LazySlot::new(graph, slot);
             let view = self.timeline.at_slot(slot);
             let ctx = ForwardingContext { history: &view, oracle: &self.oracle, now: slot_time };
 
-            if !skip_index {
-                // Pre-consolidation per-slot path: refresh the incremental
-                // table off the pinned slot (a no-op unless the destination
-                // met someone) — this must run for *every* visited busy slot
-                // once the table is initialized, even slots the sweep below
-                // skips, or a destination contact would leave stale
-                // utilities behind — then scan the holder list for activity.
-                if mode == (DecisionMode::PerMessageUtility { is_static: false }) && utilities_ready
-                {
-                    for &peer in slot_data.get().neighbors(destination) {
-                        utilities[peer.index()] = algorithm
-                            .copy_utility(&ctx, peer, destination)
-                            .expect("copy_utility is uniformly Some");
-                    }
-                }
-                if !holder_list.iter().any(|&h| slot_data.get().has_contacts(h)) {
-                    continue;
-                }
-            }
-
-            // Exact full table at this slot's context — what both the
-            // cross-worker store and the per-worker caches publish.
+            // Exact full table at this slot's context, published through
+            // the cross-worker store.
             let fill_utilities = || -> Box<[f64]> {
                 (0..n as u32)
                     .map(|v| {
@@ -1245,6 +1146,13 @@ impl Simulator {
                             .expect("copy_utility is uniformly Some")
                     })
                     .collect()
+            };
+            let utilities_only = || {
+                std::sync::Arc::new(UtilityTable {
+                    utilities: fill_utilities(),
+                    promising: Box::default(),
+                    reach: Box::default(),
+                })
             };
             let words = holder_mask.len();
 
@@ -1255,348 +1163,193 @@ impl Simulator {
                     // Static and destination independent: one table serves
                     // the whole job. The worker-local slot doubles as the
                     // lock-free L1 over the cross-worker store.
-                    if static_utils.is_none() {
-                        let build = || {
-                            std::sync::Arc::new(UtilityTable {
-                                utilities: fill_utilities(),
-                                promising: Box::default(),
-                                reach: Box::default(),
-                            })
-                        };
-                        *static_utils = Some(match tables {
-                            Some(tables) => tables.get_or_build((NO_KEY, NO_KEY), build),
-                            None => build(),
-                        });
-                    }
-                    let table = static_utils.as_ref().expect("just filled");
-                    // Under the skip index, publish the precheck structures
-                    // (promising mask + reachability closure) for each
-                    // visited slot of the static table — utilities are
-                    // job-wide, but who can reach whom depends on the
-                    // slot's edges.
-                    if skip_index && shared_slots[slot].is_none() {
+                    let table: &UtilityTable = static_utils.get_or_insert_with(|| {
+                        tables.get_or_build((NO_KEY, NO_KEY), utilities_only)
+                    });
+                    // Publish the precheck structures (promising mask +
+                    // reachability closure) for each visited slot of the
+                    // static table — utilities are job-wide, but who can
+                    // reach whom depends on the slot's edges.
+                    if shared_slots[slot].is_none() {
                         let slot32 = slot as u32;
-                        let build = || {
+                        shared_slots[slot] = Some(tables.get_or_build((slot32, NO_KEY), || {
                             let edges = slot_data.table_edges(&self.timeline);
                             std::sync::Arc::new(UtilityTable {
                                 utilities: Box::default(),
                                 promising: build_promising(&edges, &table.utilities, words),
                                 reach: build_reach(&edges, &table.utilities, n, words),
                             })
-                        };
-                        shared_slots[slot] = Some(match tables {
-                            Some(tables) => tables.get_or_build((slot32, NO_KEY), build),
-                            None => build(),
-                        });
+                        }));
                         touched_slots.push(slot32);
                     }
                     SlotUtility::Shared {
                         utils: &table.utilities,
-                        precheck: shared_slots[slot].as_deref(),
+                        precheck: shared_slots[slot].as_deref().expect("just filled"),
                     }
                 }
                 DecisionMode::SharedUtility { is_static: false } => {
                     // Destination independent: one table per (job, slot),
-                    // built exactly once across all workers (or once per
-                    // worker with shared tables tuned off) and reused for
+                    // built exactly once across all workers and reused for
                     // every message of the job.
                     if shared_slots[slot].is_none() {
                         let slot32 = slot as u32;
-                        let build = || {
+                        shared_slots[slot] = Some(tables.get_or_build((slot32, NO_KEY), || {
                             let utilities = fill_utilities();
-                            let (promising, reach) = if skip_index {
-                                let edges = slot_data.table_edges(&self.timeline);
-                                (
-                                    build_promising(&edges, &utilities, words),
-                                    build_reach(&edges, &utilities, n, words),
-                                )
-                            } else {
-                                (Box::default(), Box::default())
-                            };
+                            let edges = slot_data.table_edges(&self.timeline);
+                            let promising = build_promising(&edges, &utilities, words);
+                            let reach = build_reach(&edges, &utilities, n, words);
                             std::sync::Arc::new(UtilityTable { utilities, promising, reach })
-                        };
-                        shared_slots[slot] = Some(match tables {
-                            Some(tables) => tables.get_or_build((slot32, NO_KEY), build),
-                            None => build(),
-                        });
+                        }));
                         touched_slots.push(slot32);
                     }
-                    let table = shared_slots[slot].as_ref().expect("just filled");
-                    SlotUtility::Shared {
-                        utils: &table.utilities,
-                        precheck: skip_index.then_some(&**table),
-                    }
+                    let table = shared_slots[slot].as_deref().expect("just filled");
+                    SlotUtility::Shared { utils: &table.utilities, precheck: table }
                 }
-                DecisionMode::PerMessageUtility { is_static } => {
-                    if lazy {
-                        SlotUtility::Lazy
-                    } else {
-                        if !utilities_ready {
-                            // Fill the per-message table with the exact full
-                            // table at this slot. With the cross-worker
-                            // store on, the fill goes through it so messages
-                            // to the same destination share one build:
-                            // static tables are keyed per destination — one
-                            // build per (job, destination) no matter how
-                            // many messages — and dynamic ones per (slot,
-                            // destination), shared by messages created in
-                            // the same slot.
-                            match tables {
-                                Some(tables) => {
-                                    let key = if is_static {
-                                        (NO_KEY, destination.0)
-                                    } else {
-                                        (slot as u32, destination.0)
-                                    };
-                                    let build = || {
-                                        std::sync::Arc::new(UtilityTable {
-                                            utilities: fill_utilities(),
-                                            promising: Box::default(),
-                                            reach: Box::default(),
-                                        })
-                                    };
-                                    utilities.copy_from_slice(
-                                        &tables.get_or_build(key, build).utilities,
-                                    );
-                                }
-                                None => {
-                                    for v in 0..n as u32 {
-                                        utilities[v as usize] = algorithm
-                                            .copy_utility(&ctx, NodeId(v), destination)
-                                            .expect("copy_utility is uniformly Some");
-                                    }
-                                }
-                            }
-                            utilities_ready = true;
-                        }
-                        SlotUtility::PerMessage
+                DecisionMode::PerMessageUtility { is_static: true } => {
+                    if !utilities_ready {
+                        // One static table per (job, destination), however
+                        // many messages share the destination.
+                        let table = tables.get_or_build((NO_KEY, destination.0), utilities_only);
+                        utilities.copy_from_slice(&table.utilities);
+                        utilities_ready = true;
                     }
+                    SlotUtility::PerMessage
                 }
+                DecisionMode::PerMessageUtility { is_static: false } => SlotUtility::Lazy,
             };
 
-            // Utility decompositions make an exact actionability precheck
-            // possible: the sweep can move a copy (or deliver) iff some
-            // holder has a neighbor that is the destination or a
-            // strictly-higher-utility non-holder. If not, the whole
-            // fixpoint sweep is a no-op — the reference engine pays a full
-            // edge scan to find that out, this engine pays O(Σ deg(holder)).
-            {
-                let holders = &state.holders;
-                // With the skip index on, only the holders active this slot
-                // need inspecting (an inactive holder has no neighbors);
-                // the pre-consolidation path scans the whole holder list.
-                // The enumeration is deferred into the arms that scan
-                // candidates — the mask-based rejections never pay for it.
-                let actionable = match utility {
-                    // Every edge endpoint is active, so if every active
-                    // node already holds a copy, no forward or delivery is
-                    // possible — a word-level exact rejection. (The
-                    // destination never becomes a holder, so a deliverable
-                    // slot always has an active non-holder.)
-                    SlotUtility::Direct => {
-                        !skip_index
-                            || active.iter().zip(&*holder_mask).any(|(act, held)| act & !held != 0)
-                    }
-                    SlotUtility::Shared { utils, precheck } => match precheck {
-                        // Exact, scan-free precheck off the shared per-slot
-                        // table. The sweep acts iff a holder sits next to
-                        // the destination (delivery — a holder with a slot
-                        // edge is by definition active) or some active
-                        // holder's within-slot reachability closure leaves
-                        // the current holder set (the first forward of the
-                        // fixpoint must start at an existing holder, and
-                        // every node its closure row adds is reachable
-                        // through strictly-increasing utilities — so "row
-                        // escapes the holder mask" is both necessary and
-                        // sufficient for a copy to move). The promising
-                        // mask stays as a cheaper first gate: no promising
-                        // holder means no holder has any higher-utility
-                        // neighbor at all.
-                        Some(table) => {
-                            masks_intersect(
-                                self.timeline.neighbor_mask(slot, destination),
-                                holder_mask,
-                            ) || (holder_mask
-                                .iter()
-                                .zip(&table.promising[..])
-                                .any(|(held, mask)| held & mask != 0)
-                                && closure_escapes(&table.reach, active, holder_mask))
-                        }
-                        // Pre-consolidation path: the whole-holder-list
-                        // neighbor scan the engine always did.
-                        None => any_actionable(
-                            holder_list,
-                            slot_data.get(),
-                            holders,
-                            destination,
-                            |v| utils[v.index()],
-                        ),
-                    },
-                    SlotUtility::PerMessage => utility_actionable(
-                        skip_index,
-                        &self.timeline,
-                        slot,
-                        holder_mask,
-                        active,
-                        holder_list,
-                        &slot_data,
-                        holders,
-                        destination,
-                        |v| utilities[v.index()],
-                    ),
-                    SlotUtility::Lazy => utility_actionable(
-                        skip_index,
-                        &self.timeline,
-                        slot,
-                        holder_mask,
-                        active,
-                        holder_list,
-                        &slot_data,
-                        holders,
-                        destination,
-                        |v| {
-                            lazy_eval(
-                                algorithm,
-                                &ctx,
-                                &self.timeline,
-                                destination,
-                                slot,
-                                utilities,
-                                valid_from,
-                                valid_until,
-                                v,
-                            )
-                        },
-                    ),
-                };
-                if !actionable {
-                    continue;
+            // Exact actionability precheck: the sweep can move a copy (or
+            // deliver) iff some holder has a neighbor that is the
+            // destination or a strictly-higher-utility non-holder. If not,
+            // the whole fixpoint sweep is a no-op — the reference engine
+            // pays a full edge scan to find that out, this engine pays a
+            // few word operations per active holder.
+            let actionable = match utility {
+                // Every edge endpoint is active, so if every active node
+                // already holds a copy, no forward or delivery is possible —
+                // a word-level exact rejection. (The destination never
+                // becomes a holder, so a deliverable slot always has an
+                // active non-holder.)
+                SlotUtility::Direct => {
+                    active.iter().zip(&*holder_mask).any(|(act, held)| act & !held != 0)
                 }
+                // Scan-free, off the shared per-slot table. The sweep acts
+                // iff a holder sits next to the destination (delivery — a
+                // holder with a slot edge is by definition active) or some
+                // active holder's within-slot reachability closure leaves
+                // the current holder set (the first forward of the fixpoint
+                // must start at an existing holder, and every node its
+                // closure row adds is reachable through strictly-increasing
+                // utilities — so "row escapes the holder mask" is both
+                // necessary and sufficient for a copy to move). The
+                // promising mask stays as a cheaper first gate: no
+                // promising holder means no holder has any higher-utility
+                // neighbor at all.
+                SlotUtility::Shared { precheck, .. } => {
+                    masks_intersect(self.timeline.neighbor_mask(slot, destination), holder_mask)
+                        || (masks_intersect(holder_mask, &precheck.promising)
+                            && closure_escapes(&precheck.reach, active, holder_mask))
+                }
+                SlotUtility::PerMessage => utility_actionable(
+                    &self.timeline,
+                    slot,
+                    holder_mask,
+                    active,
+                    destination,
+                    |v| utilities[v.index()],
+                ),
+                SlotUtility::Lazy => utility_actionable(
+                    &self.timeline,
+                    slot,
+                    holder_mask,
+                    active,
+                    destination,
+                    |v| {
+                        lazy_eval(
+                            algorithm,
+                            &ctx,
+                            &self.timeline,
+                            destination,
+                            slot,
+                            utilities,
+                            valid_from,
+                            valid_until,
+                            v,
+                        )
+                    },
+                ),
+            };
+            if !actionable {
+                continue;
             }
 
+            // Sweep the slot's edges (in the same normalized order the
+            // reference engine scans them) until no copy moves, with the
+            // forward predicate monomorphized per utility mode and a
+            // both-endpoints-idle fast path per edge.
             let edges = slot_data.get().edges();
-
-            if skip_index {
-                // Sweep the slot's edges (in the same normalized order the
-                // reference engine scans them) until no copy moves, with
-                // the forward predicate monomorphized per utility mode and
-                // a both-endpoints-idle fast path per edge.
-                let delivered = match utility {
-                    SlotUtility::Direct => sweep_slot(
-                        edges,
-                        state,
-                        holder_list,
-                        holder_mask,
-                        destination,
-                        slot_time,
-                        |from, to| algorithm.should_forward(&ctx, from, to, destination),
-                    ),
-                    SlotUtility::Shared { utils, .. } => sweep_slot(
-                        edges,
-                        state,
-                        holder_list,
-                        holder_mask,
-                        destination,
-                        slot_time,
-                        |from, to| utils[to.index()] > utils[from.index()],
-                    ),
-                    SlotUtility::PerMessage => sweep_slot(
-                        edges,
-                        state,
-                        holder_list,
-                        holder_mask,
-                        destination,
-                        slot_time,
-                        |from, to| utilities[to.index()] > utilities[from.index()],
-                    ),
-                    SlotUtility::Lazy => sweep_slot(
-                        edges,
-                        state,
-                        holder_list,
-                        holder_mask,
-                        destination,
-                        slot_time,
-                        |from, to| {
-                            lazy_eval(
-                                algorithm,
-                                &ctx,
-                                &self.timeline,
-                                destination,
-                                slot,
-                                utilities,
-                                valid_from,
-                                valid_until,
-                                to,
-                            ) > lazy_eval(
-                                algorithm,
-                                &ctx,
-                                &self.timeline,
-                                destination,
-                                slot,
-                                utilities,
-                                valid_from,
-                                valid_until,
-                                from,
-                            )
-                        },
-                    ),
-                };
-                if delivered {
-                    break 'slots;
-                }
-            } else {
-                // Pre-consolidation sweep, kept verbatim so
-                // `EngineTuning::all_off` measures (and the differential
-                // suites exercise) the engine exactly as it was before the
-                // skip-index machinery landed.
-                loop {
-                    let mut changed = false;
-                    for &(a, b) in edges {
-                        if state.delivered_at.is_some() {
-                            break;
-                        }
-                        for (from, to) in [(a, b), (b, a)] {
-                            if !state.holders[from.index()] {
-                                continue;
-                            }
-                            if to == destination {
-                                state.delivered_at = Some(slot_time);
-                                state.delivered_by = Some(from);
-                                break;
-                            }
-                            if state.holders[to.index()] {
-                                continue;
-                            }
-                            let forward = match utility {
-                                SlotUtility::Shared { utils, .. } => {
-                                    utils[to.index()] > utils[from.index()]
-                                }
-                                SlotUtility::PerMessage => {
-                                    utilities[to.index()] > utilities[from.index()]
-                                }
-                                SlotUtility::Direct => {
-                                    algorithm.should_forward(&ctx, from, to, destination)
-                                }
-                                SlotUtility::Lazy => {
-                                    unreachable!("lazy memo requires the skip-index tuning")
-                                }
-                            };
-                            if forward {
-                                state.holders[to.index()] = true;
-                                state.received_from[to.index()] = Some((from, slot_time));
-                                holder_list.push(to);
-                                set_bit(holder_mask, to);
-                                changed = true;
-                            }
-                        }
-                    }
-                    if state.delivered_at.is_some() {
-                        break 'slots;
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
+            let delivered = match utility {
+                SlotUtility::Direct => sweep_slot(
+                    edges,
+                    state,
+                    holder_list,
+                    holder_mask,
+                    destination,
+                    slot_time,
+                    |from, to| algorithm.should_forward(&ctx, from, to, destination),
+                ),
+                SlotUtility::Shared { utils, .. } => sweep_slot(
+                    edges,
+                    state,
+                    holder_list,
+                    holder_mask,
+                    destination,
+                    slot_time,
+                    |from, to| utils[to.index()] > utils[from.index()],
+                ),
+                SlotUtility::PerMessage => sweep_slot(
+                    edges,
+                    state,
+                    holder_list,
+                    holder_mask,
+                    destination,
+                    slot_time,
+                    |from, to| utilities[to.index()] > utilities[from.index()],
+                ),
+                SlotUtility::Lazy => sweep_slot(
+                    edges,
+                    state,
+                    holder_list,
+                    holder_mask,
+                    destination,
+                    slot_time,
+                    |from, to| {
+                        lazy_eval(
+                            algorithm,
+                            &ctx,
+                            &self.timeline,
+                            destination,
+                            slot,
+                            utilities,
+                            valid_from,
+                            valid_until,
+                            to,
+                        ) > lazy_eval(
+                            algorithm,
+                            &ctx,
+                            &self.timeline,
+                            destination,
+                            slot,
+                            utilities,
+                            valid_from,
+                            valid_until,
+                            from,
+                        )
+                    },
+                ),
+            };
+            if delivered {
+                break 'slots;
             }
         }
 
@@ -1748,7 +1501,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{Epidemic, Fresh, GreedyTotal};
+    use crate::algorithms::{DynamicProgramming, Epidemic, Fresh, GreedyOnline, GreedyTotal};
     use crate::standard_algorithms;
     use psn_spacetime::epidemic_delivery_time;
     use psn_trace::contact::Contact;
@@ -2023,15 +1776,9 @@ mod tests {
         let trace = random_trace(99, 10, 60, window);
         let messages = random_messages(99, 10, 40, window);
         let algorithms = standard_algorithms();
-        let baseline = Simulator::new(
-            &trace,
-            SimulatorConfig { delta: 10.0, threads: 1, ..SimulatorConfig::default() },
-        );
+        let baseline = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1 });
         for threads in [2usize, 3, 7] {
-            let sim = Simulator::new(
-                &trace,
-                SimulatorConfig { delta: 10.0, threads, ..SimulatorConfig::default() },
-            );
+            let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
             assert_eq!(sim.threads(), threads);
             for (kind, algorithm) in &algorithms {
                 let serial = baseline.run(algorithm.as_ref(), &messages);
@@ -2043,61 +1790,73 @@ mod tests {
         }
     }
 
-    /// Every on/off combination of the engine tuning switches.
-    fn all_tunings() -> [EngineTuning; 4] {
-        [
-            EngineTuning::all_off(),
-            EngineTuning { skip_index: true, shared_tables: false },
-            EngineTuning { skip_index: false, shared_tables: true },
-            EngineTuning { skip_index: true, shared_tables: true },
-        ]
+    /// Pins the engine to `run_reference` for every standard algorithm at
+    /// each worker count in `threads`, under three chunkings of the same
+    /// messages: one job per algorithm, all six algorithms in one
+    /// `run_many` batch, and one single-message job per message (every
+    /// work item a one-message chunk, so workers switch jobs and rebuild
+    /// their caches on every item).
+    fn assert_matches_reference_across_threads_and_chunking(
+        trace: &ContactTrace,
+        messages: &[Message],
+        threads: &[usize],
+    ) {
+        let algorithms = standard_algorithms();
+        let reference_sim = Simulator::with_default_config(trace);
+        let references: Vec<SimulationResult> = algorithms
+            .iter()
+            .map(|(_, algorithm)| reference_sim.run_reference(algorithm.as_ref(), messages))
+            .collect();
+        let batch: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
+            algorithms.iter().map(|(_, a)| (a.as_ref(), messages)).collect();
+        for &threads in threads {
+            let sim = Simulator::new(trace, SimulatorConfig { delta: 10.0, threads });
+            let batched = sim.run_many(&batch);
+            for (((kind, algorithm), reference), batched) in
+                algorithms.iter().zip(&references).zip(&batched)
+            {
+                let single = sim.run(algorithm.as_ref(), messages);
+                assert_eq!(
+                    reference.outcomes, single.outcomes,
+                    "{kind}: one job, {threads} workers"
+                );
+                assert_eq!(
+                    reference.outcomes, batched.outcomes,
+                    "{kind}: six-job batch, {threads} workers"
+                );
+                let singletons: Vec<(&dyn ForwardingAlgorithm, &[Message])> = messages
+                    .iter()
+                    .map(|m| (algorithm.as_ref(), std::slice::from_ref(m)))
+                    .collect();
+                let split: Vec<MessageOutcome> =
+                    sim.run_many(&singletons).into_iter().flat_map(|r| r.outcomes).collect();
+                assert_eq!(
+                    reference.outcomes, split,
+                    "{kind}: one job per message, {threads} workers"
+                );
+            }
+        }
     }
 
     #[test]
-    fn every_tuning_combination_matches_reference_across_threads() {
-        // Forces the new paths (skip-index sweep, cross-worker latched
-        // tables under real multi-thread sharding) against the reference
-        // engine, on a nonzero window start.
+    fn engine_matches_reference_across_threads_and_chunking() {
+        // Forces the skip-index sweep and the cross-worker latched tables
+        // under real multi-thread sharding against the reference engine,
+        // on a nonzero window start.
         let window = TimeWindow::new(3600.0, 4200.0);
         let trace = random_trace(21, 12, 70, window);
         let messages = random_messages(21, 12, 24, window);
-        let algorithms = standard_algorithms();
-        let reference_sim = Simulator::with_default_config(&trace);
-        for (kind, algorithm) in &algorithms {
-            let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
-            for tuning in all_tunings() {
-                for threads in [1usize, 3] {
-                    let sim =
-                        Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads, tuning });
-                    let result = sim.run(algorithm.as_ref(), &messages);
-                    assert_eq!(
-                        reference.outcomes, result.outcomes,
-                        "{kind} with {tuning:?} on {threads} threads"
-                    );
-                }
-            }
-        }
+        assert_matches_reference_across_threads_and_chunking(&trace, &messages, &[1, 2, 3]);
     }
 
     #[test]
-    fn every_tuning_combination_agrees_on_a_trace_with_more_than_64_nodes() {
+    fn engine_matches_reference_on_a_trace_with_more_than_64_nodes() {
         // Node counts beyond one 64-bit mask word stress the wide-trace
-        // paths; the four tunings must stay bit-identical to each other
-        // and to the reference engine.
+        // paths.
         let window = TimeWindow::new(0.0, 800.0);
         let trace = random_trace(33, 70, 220, window);
         let messages = random_messages(33, 70, 20, window);
-        let algorithms = standard_algorithms();
-        let reference_sim = Simulator::with_default_config(&trace);
-        for (kind, algorithm) in &algorithms {
-            let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
-            for tuning in all_tunings() {
-                let sim =
-                    Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 2, tuning });
-                let result = sim.run(algorithm.as_ref(), &messages);
-                assert_eq!(reference.outcomes, result.outcomes, "{kind} with {tuning:?}");
-            }
-        }
+        assert_matches_reference_across_threads_and_chunking(&trace, &messages, &[1, 2, 3]);
     }
 
     #[test]
@@ -2161,7 +1920,7 @@ mod tests {
         // every slot where no node that ever meets the destination is
         // active) and the per-destination lazy memo across repeated
         // destinations — both must stay bit-identical to the reference
-        // engine under every tuning and real multi-thread sharding.
+        // engine under real multi-thread sharding.
         let window = TimeWindow::new(0.0, 700.0);
         let cluster_a = random_trace(61, 6, 40, window);
         let cluster_b = random_trace(62, 6, 40, window);
@@ -2185,31 +1944,14 @@ mod tests {
             messages.push(Message::new(m.source, nid(m.destination.0 + 6), m.created_at));
             messages.push(Message::new(nid(6 + i as u32 % 6), m.destination, m.created_at));
         }
-        let reference_sim = Simulator::with_default_config(&trace);
-        for (kind, algorithm) in &standard_algorithms() {
-            let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
-            for tuning in all_tunings() {
-                for threads in [1usize, 3] {
-                    let sim =
-                        Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads, tuning });
-                    let result = sim.run(algorithm.as_ref(), &messages);
-                    assert_eq!(
-                        reference.outcomes, result.outcomes,
-                        "{kind} with {tuning:?} on {threads} threads"
-                    );
-                }
-            }
-        }
+        assert_matches_reference_across_threads_and_chunking(&trace, &messages, &[1, 3]);
     }
 
     #[test]
     fn run_many_shards_algorithm_by_run_jobs() {
         let window = TimeWindow::new(0.0, 600.0);
         let trace = random_trace(7, 9, 45, window);
-        let sim = Simulator::new(
-            &trace,
-            SimulatorConfig { delta: 10.0, threads: 4, ..SimulatorConfig::default() },
-        );
+        let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 4 });
         let algorithms = standard_algorithms();
         let message_sets: Vec<Vec<Message>> =
             (0..3u64).map(|run| random_messages(run, 9, 10, window)).collect();
@@ -2266,9 +2008,9 @@ mod tests {
     #[test]
     fn windowed_graph_matches_reference_on_materialized_graph() {
         // The pin-on-first-use path reads a windowed slot only after the
-        // mask precheck passes; every algorithm, tuning and
-        // worker count over a spill-backed graph must still reproduce the
-        // reference engine on the materialized graph, message by message.
+        // mask precheck passes; every algorithm and worker count over a
+        // spill-backed graph must still reproduce the reference engine on
+        // the materialized graph, message by message.
         let window = TimeWindow::new(1800.0, 2600.0);
         let trace = random_trace(71, 14, 110, window);
         let messages = random_messages(71, 14, 30, window);
@@ -2284,23 +2026,21 @@ mod tests {
         for window_slots in [1usize, 7, 64] {
             let graph = windowed_graph(&trace, window_slots);
             assert!(graph.spill_stores() > 0 || window_slots >= graph.busy_slots().len());
-            for tuning in all_tunings() {
-                for threads in [1usize, 2] {
-                    let sim = Simulator::from_parts(
-                        &trace,
-                        std::sync::Arc::clone(&graph),
-                        std::sync::Arc::clone(&timeline),
-                        SimulatorConfig { delta: 10.0, threads, tuning },
+            for threads in [1usize, 2] {
+                let sim = Simulator::from_parts(
+                    &trace,
+                    std::sync::Arc::clone(&graph),
+                    std::sync::Arc::clone(&timeline),
+                    SimulatorConfig { delta: 10.0, threads },
+                );
+                let results = sim.run_many(&jobs);
+                for (((kind, _), reference), result) in
+                    algorithms.iter().zip(&references).zip(&results)
+                {
+                    assert_eq!(
+                        reference.outcomes, result.outcomes,
+                        "{kind} at window {window_slots} on {threads} workers"
                     );
-                    let results = sim.run_many(&jobs);
-                    for (((kind, _), reference), result) in
-                        algorithms.iter().zip(&references).zip(&results)
-                    {
-                        assert_eq!(
-                            reference.outcomes, result.outcomes,
-                            "{kind} at window {window_slots} with {tuning:?} on {threads} workers"
-                        );
-                    }
                 }
             }
         }
@@ -2309,10 +2049,10 @@ mod tests {
     #[test]
     fn windowed_forwarding_reloads_at_most_one_reference_pass_per_job() {
         // The reference engine pins every slot once per job. The parallel
-        // engine at one worker and default tuning pins a slot only after
-        // the mask precheck passes, so over a one-slot window its spill
-        // reloads stay within that budget even though every message of
-        // every job replays the trace on its own. (Pinning every visited
+        // engine at one worker pins a slot only after the mask precheck
+        // passes, so over a one-slot window its spill reloads stay within
+        // that budget even though every message of every job replays the
+        // trace on its own. (Pinning every visited
         // slot, as the engine once did, costs about 3x the budget here.)
         let window = TimeWindow::new(0.0, 2400.0);
         let trace = random_trace(83, 16, 260, window);
@@ -2325,7 +2065,7 @@ mod tests {
             &trace,
             std::sync::Arc::clone(&graph),
             timeline,
-            SimulatorConfig { delta: 10.0, threads: 1, ..SimulatorConfig::default() },
+            SimulatorConfig { delta: 10.0, threads: 1 },
         );
         let algorithms = standard_algorithms();
         let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
@@ -2339,5 +2079,169 @@ mod tests {
             "{loads} spill loads exceed {} jobs × {busy} busy slots",
             jobs.len()
         );
+    }
+
+    /// Delegates to `inner` and counts its `copy_utility` calls.
+    struct CountingUtility<'a> {
+        inner: &'a dyn ForwardingAlgorithm,
+        calls: AtomicUsize,
+    }
+
+    impl ForwardingAlgorithm for CountingUtility<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn destination_aware(&self) -> bool {
+            self.inner.destination_aware()
+        }
+        fn should_forward(
+            &self,
+            ctx: &ForwardingContext<'_>,
+            holder: NodeId,
+            peer: NodeId,
+            destination: NodeId,
+        ) -> bool {
+            self.inner.should_forward(ctx, holder, peer, destination)
+        }
+        fn copy_utility(
+            &self,
+            ctx: &ForwardingContext<'_>,
+            node: NodeId,
+            destination: NodeId,
+        ) -> Option<f64> {
+            // relaxed: a tally read only after the workers have joined.
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.copy_utility(ctx, node, destination)
+        }
+        fn utility_is_static(&self) -> bool {
+            self.inner.utility_is_static()
+        }
+        fn utility_requires_destination_contact(&self) -> bool {
+            self.inner.utility_requires_destination_contact()
+        }
+    }
+
+    #[test]
+    fn utility_tables_are_built_exactly_once_per_job_at_any_worker_count() {
+        // Greedy Total (static, destination-unaware), Greedy Online
+        // (dynamic, destination-unaware) and Dynamic Programming (static,
+        // destination-aware) evaluate utilities only to build tables, so
+        // their `copy_utility` calls count table builds. 64 messages split
+        // each job into at least 4 chunks that the workers share; with
+        // exactly-once tables the count cannot depend on the worker count,
+        // and it stays within one table per key: one per job, per busy
+        // slot and per destination respectively.
+        let window = TimeWindow::new(0.0, 1200.0);
+        let trace = random_trace(47, 14, 120, window);
+        let messages = random_messages(47, 14, 64, window);
+        let sims: Vec<Simulator> = [1usize, 2, 3]
+            .iter()
+            .map(|&threads| Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads }))
+            .collect();
+        let busy = sims[0].graph().busy_slots().len();
+        let destinations =
+            messages.iter().map(|m| m.destination).collect::<std::collections::BTreeSet<_>>();
+        let algorithms: [(&dyn ForwardingAlgorithm, usize); 3] =
+            [(&GreedyTotal, 1), (&GreedyOnline, busy), (&DynamicProgramming, destinations.len())];
+        for (algorithm, max_tables) in algorithms {
+            let counts: Vec<usize> = sims
+                .iter()
+                .map(|sim| {
+                    let counting = CountingUtility { inner: algorithm, calls: AtomicUsize::new(0) };
+                    sim.run(&counting, &messages);
+                    counting.calls.into_inner()
+                })
+                .collect();
+            // One call is the decision-mode probe; the rest build tables
+            // of one evaluation per node.
+            let name = algorithm.name();
+            assert!(counts[0] > 1, "{name}: no table was built");
+            assert!(counts[0] <= 1 + 14 * max_tables, "{name}: {} calls", counts[0]);
+            assert!(
+                counts.iter().all(|&c| c == counts[0]),
+                "{name}: {counts:?} utility evaluations at 1, 2 and 3 workers"
+            );
+        }
+    }
+
+    /// Greedy Online, except that every utility evaluation at time
+    /// `fail_at` stalls briefly and then panics.
+    struct PanicsInTableBuild {
+        fail_at: Seconds,
+    }
+
+    impl ForwardingAlgorithm for PanicsInTableBuild {
+        fn name(&self) -> &str {
+            "PanicsInTableBuild"
+        }
+        fn destination_aware(&self) -> bool {
+            false
+        }
+        fn should_forward(
+            &self,
+            ctx: &ForwardingContext<'_>,
+            holder: NodeId,
+            peer: NodeId,
+            destination: NodeId,
+        ) -> bool {
+            GreedyOnline.should_forward(ctx, holder, peer, destination)
+        }
+        fn copy_utility(
+            &self,
+            ctx: &ForwardingContext<'_>,
+            node: NodeId,
+            destination: NodeId,
+        ) -> Option<f64> {
+            if ctx.now == self.fail_at {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                panic!("utility build failed at t = {}", self.fail_at);
+            }
+            GreedyOnline.copy_utility(ctx, node, destination)
+        }
+    }
+
+    #[test]
+    fn panicking_table_build_fails_the_batch_instead_of_hanging_waiters() {
+        // Every message starts at node 0, whose first contact is in slot
+        // 5, so both workers' first chunks want the same per-slot table
+        // there. Its build panics; the unwinding builder must remove its
+        // entry and release the latch, so the other worker rebuilds (and
+        // fails too) rather than blocking forever. The stall in the build
+        // makes that worker usually wait on the latch first; either way it
+        // reaches the key within its first chunk, so a stale entry would
+        // hang it. A watchdog turns a hang into a failure.
+        let trace = trace_from(
+            vec![
+                (1, 2, 1.0, 5.0),
+                (3, 4, 11.0, 25.0),
+                (0, 1, 51.0, 55.0),
+                (0, 3, 52.0, 58.0),
+                (2, 5, 61.0, 75.0),
+                (4, 5, 81.0, 85.0),
+            ],
+            6,
+            120.0,
+        );
+        let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 2 });
+        let first_slot = sim.timeline().next_active_slot(nid(0), 0).expect("node 0 has contacts");
+        assert_eq!(first_slot, 5);
+        let algorithm = PanicsInTableBuild { fail_at: sim.graph().slot_end_time(first_slot) };
+        let messages: Vec<Message> =
+            (0..40u32).map(|i| Message::new(nid(0), nid(1 + i % 5), 0.0)).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run(&algorithm, &messages);
+            }));
+            // The receiver is gone only if the watchdog already fired.
+            let _ = tx.send(run.map_err(|payload| psn_fault::panic_message(payload.as_ref())));
+        });
+        let run = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_many hung on the table latch of a panicked build");
+        worker.join().expect("the worker catches the batch's panic");
+        let message = run.expect_err("a panicking table build must fail the batch");
+        assert!(message.contains("simulation worker panicked"), "{message}");
+        assert!(message.contains("utility build failed"), "{message}");
     }
 }
