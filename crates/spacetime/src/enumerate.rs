@@ -49,7 +49,21 @@
 //! `stored_path_limit` sampled deliveries. Per-node path budgets are
 //! enforced with `select_nth_unstable_by_key` partial selection instead of
 //! a full sort, and all per-slot buffers live in a reusable
-//! [`EnumerationScratch`]. The pre-arena algorithm — one owned `Vec<Hop>`
+//! [`EnumerationScratch`].
+//!
+//! Within a slot, each node's arrivals are ranked by `(depth, seq)`, where
+//! `seq` numbers candidates in the order they are pushed. Once a node's
+//! inbox holds `k` candidates, its **cutoff** is the largest depth among
+//! its `k` best; an extension whose depth reaches the cutoff is skipped
+//! before the membership test, because the `k` candidates in hand are no
+//! deeper and were pushed earlier, so it could never be selected. The
+//! cutoff is set when the inbox first fills to `k`, tightened after each
+//! prune, and reset when the inbox is drained at the end of the slot. At
+//! the paper's k = 2000, dense contact components offer each inbox
+//! thousands of equal-depth candidates per slot, and the cutoff drops all
+//! but the first `k` of them. Skipped candidates take no `seq`, which only
+//! shifts later numbers down and keeps their relative order, so selection
+//! and output are unchanged. The pre-arena algorithm — one owned `Vec<Hop>`
 //! per in-flight path — is retained as
 //! [`PathEnumerator::enumerate_reference`] and produces bit-identical
 //! results; the property tests in this module and the `enumeration`
@@ -194,13 +208,20 @@ impl EnumerationResult {
 /// selection outcome is unchanged: the key order is exactly the order
 /// [`PathEnumerator`] selection uses for the arrival portion of the merge,
 /// so a pruned candidate could never have been selected.
+///
+/// A candidate that provably loses is not built at all: once an inbox
+/// holds `k` candidates, an extension at least as deep as the deepest of
+/// them (the inbox's cutoff in [`EnumerationScratch`]) has `k` smaller
+/// keys ahead of it and is skipped before it is pushed.
 #[derive(Debug, Clone, Copy)]
 struct ArrivalCandidate {
     /// The stored path being extended.
     parent: PathRef,
     /// Hop depth of the would-be child (`depth(parent) + 1`).
     depth: u32,
-    /// Per-slot arrival sequence number (the tie-break: earlier wins).
+    /// Per-run arrival sequence number (the tie-break: earlier wins).
+    /// Only pushed candidates take a number, and only the order of the
+    /// numbers matters.
     seq: u64,
 }
 
@@ -221,6 +242,11 @@ pub struct EnumerationScratch {
     /// Unmaterialized arrival candidates per node within the current slot,
     /// pruned online to the `k` best so arena growth stays bounded.
     arrivals: Vec<Vec<ArrivalCandidate>>,
+    /// Per-node arrival depth cutoff within the current slot: once an
+    /// inbox holds `k` candidates, the largest depth among its `k` best.
+    /// A candidate at least this deep cannot survive the selection.
+    /// `u32::MAX` means no bound yet.
+    cutoff: Vec<u32>,
     /// Materialized arena refs of the surviving arrivals of one inbox.
     arrival_refs: Vec<PathRef>,
     /// Nodes that can reach the destination via zero-weight edges this slot.
@@ -249,15 +275,16 @@ impl EnumerationScratch {
 
     /// Resets for a new message over a graph with `n` nodes.
     ///
-    /// The previous run leaves `arrivals` and `near_destination` clean (they
-    /// are drained every slot via `touched` / `near_list`); only `stored`
-    /// can carry paths across runs, and `holders` indexes exactly the nodes
-    /// that might.
+    /// The previous run leaves `arrivals`, `cutoff` and `near_destination`
+    /// clean (they are drained every slot via `touched` / `near_list`);
+    /// only `stored` can carry paths across runs, and `holders` indexes
+    /// exactly the nodes that might.
     fn reset(&mut self, n: usize) {
         self.arena.clear(n);
         if self.stored.len() < n {
             self.stored.resize_with(n, Vec::new);
             self.arrivals.resize_with(n, Vec::new);
+            self.cutoff.resize(n, u32::MAX);
         }
         if self.near_destination.len() < n {
             self.near_destination.resize(n, false);
@@ -532,7 +559,10 @@ impl<'a> PathEnumerator<'a> {
                     let r = scratch.stored[holder_idx][i];
                     let child_depth = scratch.arena.depth(r) + 1;
                     for &v in members {
-                        if scratch.arena.contains(r, v) {
+                        // At or past the cutoff, k earlier candidates
+                        // no deeper than this one are already in hand.
+                        if child_depth >= scratch.cutoff[v.index()] || scratch.arena.contains(r, v)
+                        {
                             continue;
                         }
                         let inbox = &mut scratch.arrivals[v.index()];
@@ -549,10 +579,15 @@ impl<'a> PathEnumerator<'a> {
                         // doubles past k, keep only the k smallest
                         // (depth, seq) keys — exactly the candidates
                         // that could still survive this node's final
-                        // selection.
-                        if inbox.len() >= 2 * k {
+                        // selection — and tighten the cutoff to the
+                        // deepest of them.
+                        if inbox.len() == k {
+                            scratch.cutoff[v.index()] =
+                                inbox.iter().map(|c| c.depth).max().unwrap_or(u32::MAX);
+                        } else if inbox.len() >= 2 * k {
                             inbox.select_nth_unstable_by_key(k - 1, |c| (c.depth, c.seq));
                             inbox.truncate(k);
+                            scratch.cutoff[v.index()] = inbox[k - 1].depth;
                         }
                     }
                 }
@@ -591,6 +626,7 @@ impl<'a> PathEnumerator<'a> {
                     ));
                 }
                 scratch.arrivals[idx].clear();
+                scratch.cutoff[idx] = u32::MAX;
                 Self::keep_k_shortest(
                     &scratch.arena,
                     &mut scratch.stored[idx],
@@ -609,6 +645,7 @@ impl<'a> PathEnumerator<'a> {
         } else {
             for &t in &scratch.touched {
                 scratch.arrivals[t as usize].clear();
+                scratch.cutoff[t as usize] = u32::MAX;
             }
         }
         scratch.touched.clear();
@@ -1457,5 +1494,180 @@ mod tests {
             loads_sequential >= 2 * loads_batched,
             "sequential loads {loads_sequential} should dwarf batched loads {loads_batched}"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // Arrival cutoff: candidates that cannot survive an inbox's
+    // k-selection are dropped before they are pushed. Dense fan-in slots,
+    // where many holders carry equal-depth paths into one shared
+    // component, overflow k within a slot and drive that branch.
+    // ------------------------------------------------------------------
+
+    /// Contacts of a star joining `hub` to each of `members` inside slot
+    /// `slot` of the default 10 s grid.
+    fn star(
+        hub: u32,
+        members: impl IntoIterator<Item = u32>,
+        slot: u32,
+    ) -> Vec<(u32, u32, f64, f64)> {
+        let start = 10.0 * slot as f64;
+        members
+            .into_iter()
+            .filter(|&m| m != hub)
+            .map(|m| (hub, m, start + 1.0, start + 5.0))
+            .collect()
+    }
+
+    /// A dense fan-in trace over `nodes` nodes, layered so that holders
+    /// run deepest-first in id order. The source is node `nodes - 2` and
+    /// the destination node `nodes - 1`; layer A holds the `relays` ids
+    /// just below the source, layer B the `relays` ids below A, layer C
+    /// the rest. Slot 0 joins the source to A, slot 1 joins A and B, slot
+    /// 2 joins B and C, and slot 3 joins every node but the destination
+    /// into one component: each inbox is then offered depth-4 candidates
+    /// from C, then depth 3 from B, depth 2 from A and depth 1 from the
+    /// source, overflowing k with equal depths and pruning mixed ones.
+    /// Slots 4..9 join random subsets into one or two components, with
+    /// the destination joining from slot 5 on.
+    fn fan_in_trace(seed: u64, nodes: u32, relays: u32) -> ContactTrace {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (destination, source) = (nodes - 1, nodes - 2);
+        let a = source - relays..source;
+        let b = source - 2 * relays..source - relays;
+        let c = 0..source - 2 * relays;
+        let mut contacts = star(source, a.clone(), 0);
+        contacts.extend(star(a.start, b.start..a.end, 1));
+        contacts.extend(star(b.start, c.start..b.end, 2));
+        contacts.extend(star(source, 0..source, 3));
+        for slot in 4..10u32 {
+            let mut groups: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+            for v in 0..nodes {
+                if v == destination && slot < 5 {
+                    continue;
+                }
+                if rng.gen_range(0.0..1.0) < 0.7 {
+                    groups[rng.gen_range(0..2usize)].push(v);
+                }
+            }
+            for group in &groups {
+                if let Some(&hub) = group.first() {
+                    contacts.extend(star(hub, group.iter().copied(), slot));
+                }
+            }
+        }
+        trace_from(contacts, nodes as usize, 110.0)
+    }
+
+    #[test]
+    fn arena_matches_reference_on_dense_fan_in() {
+        let mut scratch = EnumerationScratch::new();
+        let mut scratches = Vec::new();
+        let mut batch_scratch = EnumerationScratch::new();
+        // Node counts on both sides of the 64-node bitmask boundary.
+        // Few relays leave layer B short of k candidates per inbox, so the
+        // 2k prune sees a mix of depths; many relays overflow k with one.
+        for (seed, nodes, relays) in
+            [(500u64, 14u32, 2u32), (501, 40, 3), (502, 64, 8), (503, 70, 2), (504, 90, 5)]
+        {
+            let trace = fan_in_trace(seed, nodes, relays);
+            let graph = SpaceTimeGraph::build_default(&trace);
+            let (destination, source) = (nid(nodes - 1), nid(nodes - 2));
+            let messages = vec![
+                Message::new(source, destination, 0.0),
+                Message::new(nid(nodes - 3), destination, 10.0),
+                Message::new(source, nid(1), 0.0),
+            ];
+            for k in [1usize, 2, 3, 5] {
+                for config in [
+                    EnumerationConfig::quick(k),
+                    EnumerationConfig {
+                        k,
+                        max_delivered_paths: Some(3 * k + 1),
+                        stored_path_limit: k,
+                        enforce_first_preference: true,
+                    },
+                    EnumerationConfig::quick(k).without_first_preference(),
+                ] {
+                    let enumerator = PathEnumerator::new(&graph, config);
+                    for message in &messages {
+                        assert_equivalent(&enumerator, &graph, message, &mut scratch);
+                    }
+                    assert_batch_matches_sequential(
+                        &enumerator,
+                        &messages,
+                        &mut scratches,
+                        &mut batch_scratch,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_depth_fan_in_pushes_at_most_k_candidates_per_touched_node() {
+        // Slot 0: the source meets 12 relays. Slot 1: the relays and six
+        // more nodes form one component, so each of its 18 inboxes is
+        // offered one depth-2 candidate per relay not already on it —
+        // 12 × 17 in all. Once an inbox holds k of them, every later one
+        // is as deep as all k in hand and arrives after them.
+        let relays = 12u32;
+        let others = 6u32;
+        let destination = relays + others + 1;
+        let mut contacts = star(0, 1..=relays, 0);
+        contacts.extend(star(1, 1..=relays + others, 1));
+        contacts.extend(star(destination, [relays + 1], 3));
+        let trace = trace_from(contacts, destination as usize + 1, 60.0);
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let k = 3;
+        let enumerator = PathEnumerator::new(&graph, EnumerationConfig::quick(k));
+        let message = Message::new(nid(0), nid(destination), 0.0);
+
+        let mut scratch = EnumerationScratch::new();
+        let mut state = enumerator.begin_run(&message, &mut scratch);
+        enumerator.step_slot(
+            &message,
+            &mut scratch,
+            &mut state,
+            graph.slot(0),
+            graph.slot_end_time(0),
+        );
+        let before = state.candidate_seq;
+        enumerator.step_slot(
+            &message,
+            &mut scratch,
+            &mut state,
+            graph.slot(1),
+            graph.slot_end_time(1),
+        );
+        let pushed = state.candidate_seq - before;
+        let touched = graph.slot(1).component_slice(nid(1)).len() as u64;
+        assert_eq!(touched, u64::from(relays + others));
+        assert!(
+            pushed <= k as u64 * touched,
+            "pushed {pushed} candidates into {touched} inboxes at k = {k}"
+        );
+
+        // The rest of the run still matches the reference exactly.
+        for s in 2..graph.slot_count() {
+            if state.done {
+                break;
+            }
+            enumerator.step_slot(
+                &message,
+                &mut scratch,
+                &mut state,
+                graph.slot(s),
+                graph.slot_end_time(s),
+            );
+        }
+        let result = PathEnumerator::finish_run(&message, state);
+        let reference = enumerator.enumerate_reference(&message);
+        assert!(result.delivered_count() > 0);
+        assert_eq!(result.deliveries, reference.deliveries);
+        assert_eq!(result.sample_paths, reference.sample_paths);
+        assert_eq!(result.exploded, reference.exploded);
+        assert_eq!(result.slots_processed, reference.slots_processed);
     }
 }

@@ -128,3 +128,40 @@ fn denser_contact_traces_deliver_more_messages() {
     };
     assert!(fraction_delivered(&dense) >= fraction_delivered(&sparse));
 }
+
+/// Paper-scale oracle for the message that dominates the k = 2000
+/// explosion workload: `n1->n48`, the second of the explosion study's
+/// uniform draw (seed `0xEC0`) on `scenarios/infocom_morning.toml`. Both
+/// engines enumerate it at k ∈ {50, 200}; the reference needs over a
+/// minute at k = 2000, so that is left to the `enumeration` bench. Run it
+/// in release: `cargo test --release -p psn --test
+/// integration_path_explosion -- --ignored`.
+#[test]
+#[ignore = "paper scale: run in release with --ignored"]
+fn arena_matches_reference_on_the_paper_explosion_message() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../scenarios/infocom_morning.toml");
+    let scenario = psn_trace::ScenarioConfig::from_path(&path).expect("scenario loads");
+    let trace = scenario.generate();
+    let graph = SpaceTimeGraph::build_default(&trace);
+    let message = MessageGenerator::new(MessageWorkloadConfig {
+        nodes: trace.node_count(),
+        generation_horizon: (trace.window().duration() * 2.0 / 3.0).max(1.0),
+        mean_interarrival: 4.0,
+        seed: 0xEC0,
+    })
+    .uniform_messages(16)[1];
+    assert_eq!((message.source, message.destination), (NodeId(1), NodeId(48)));
+    for k in [50, 200] {
+        let enumerator =
+            PathEnumerator::new(&graph, EnumerationConfig { k, ..EnumerationConfig::paper() });
+        let arena = enumerator.enumerate(&message);
+        let reference = enumerator.enumerate_reference(&message);
+        assert!(arena.delivered_count() > 0, "k = {k}: no delivery");
+        assert_eq!(arena.deliveries, reference.deliveries, "k = {k}: deliveries differ");
+        assert_eq!(arena.sample_paths, reference.sample_paths, "k = {k}: sample paths differ");
+        assert_eq!(arena.exploded, reference.exploded, "k = {k}: explosion flag differs");
+        assert_eq!(arena.truncated, reference.truncated, "k = {k}: truncation flag differs");
+        assert_eq!(arena.slots_processed, reference.slots_processed, "k = {k}: slot count differs");
+    }
+}
