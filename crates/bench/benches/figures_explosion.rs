@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use psn::experiments::explosion::run_explosion_study_on;
+use psn::experiments::activity::activity_report_streamed;
+use psn::experiments::explosion::{run_explosion_study_streamed, ExplosionStudy};
 use psn::experiments::hop_rates::run_hop_rate_study;
 use psn::prelude::*;
 
@@ -25,35 +26,33 @@ fn study_inputs() -> (ContactTrace, Vec<Message>) {
     (trace, msgs)
 }
 
+/// The explosion study as the pipeline runs it on a materialized trace:
+/// graph and rates built from the trace, then enumeration.
+fn explosion_study(trace: &ContactTrace, msgs: &[Message]) -> ExplosionStudy {
+    run_explosion_study_streamed(
+        DatasetId::Infocom06Morning,
+        ContactRates::from_trace(trace),
+        &SpaceTimeGraph::build_default(trace),
+        msgs,
+        EnumerationConfig::quick(60),
+        60,
+        2,
+    )
+}
+
 fn bench_fig4_to_fig8_explosion_study(c: &mut Criterion) {
     let (trace, msgs) = study_inputs();
     let mut group = c.benchmark_group("figures_explosion");
     group.sample_size(10);
     group.bench_function("fig04_05_06_08_explosion_study", |b| {
-        b.iter(|| {
-            criterion::black_box(run_explosion_study_on(
-                DatasetId::Infocom06Morning,
-                &trace,
-                &msgs,
-                EnumerationConfig::quick(60),
-                60,
-                2,
-            ))
-        });
+        b.iter(|| criterion::black_box(explosion_study(&trace, &msgs)));
     });
     group.finish();
 }
 
 fn bench_fig14_fig15_hop_rates(c: &mut Criterion) {
     let (trace, msgs) = study_inputs();
-    let study = run_explosion_study_on(
-        DatasetId::Infocom06Morning,
-        &trace,
-        &msgs,
-        EnumerationConfig::quick(60),
-        60,
-        2,
-    );
+    let study = explosion_study(&trace, &msgs);
     let mut group = c.benchmark_group("figures_hop_rates");
     group.sample_size(20);
     group.bench_function("fig14_15_hop_rate_study", |b| {
@@ -67,9 +66,14 @@ fn bench_fig1_fig7_activity(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("fig01_07_activity_study", |b| {
         b.iter(|| {
-            criterion::black_box(psn::experiments::activity::run_activity_study(
-                ExperimentProfile::Quick,
-            ))
+            let reports: Vec<_> = DatasetId::all()
+                .into_iter()
+                .map(|id| {
+                    let trace = ExperimentProfile::Quick.dataset(id).generate();
+                    activity_report_streamed(id, &ContactSummary::from_trace(&trace))
+                })
+                .collect();
+            criterion::black_box(reports)
         });
     });
     group.finish();

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use psn_forwarding::{
     standard_algorithms, ForwardingAlgorithm, HistoryTimeline, SimulationResult, Simulator,
-    SimulatorConfig,
+    SimulatorConfig, TraceOracle,
 };
 use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig, SpaceTimeGraph};
 use psn_trace::{ContactTrace, DatasetId, SyntheticDataset};
@@ -139,8 +139,13 @@ fn time_threads(
     reps: usize,
 ) -> (Vec<f64>, Vec<SimulationResult>) {
     let config = SimulatorConfig { delta: 10.0, threads };
-    let simulator =
-        Simulator::from_parts(trace, std::sync::Arc::clone(graph), timeline.clone(), config);
+    let simulator = Simulator::from_streamed_parts(
+        trace.node_count(),
+        TraceOracle::from_trace(trace),
+        std::sync::Arc::clone(graph),
+        timeline.clone(),
+        config,
+    );
     let mut walls = Vec::with_capacity(reps);
     let mut results = None;
     for _ in 0..reps {
@@ -198,8 +203,9 @@ fn main() {
     );
 
     // The byte-identity oracle: the serial reference engine, job by job.
-    let reference_sim = Simulator::from_parts(
-        &trace,
+    let reference_sim = Simulator::from_streamed_parts(
+        trace.node_count(),
+        TraceOracle::from_trace(&trace),
         std::sync::Arc::clone(&graph),
         timeline.clone(),
         SimulatorConfig::default(),

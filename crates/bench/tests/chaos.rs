@@ -388,3 +388,28 @@ fn cli_exit_codes_distinguish_failure_classes() {
     assert!(panicked_err.contains("panicked"), "{panicked_err}");
     assert!(panicked_err.contains("--keep-going"), "{panicked_err}");
 }
+
+#[test]
+fn cli_out_of_range_scenarios_exit_as_config_errors() {
+    // A scenario its generator would reject is a config error (exit 3,
+    // naming the field) on every command — never a generator panic.
+    let path = std::env::temp_dir().join(format!("psn-chaos-range-{}.toml", std::process::id()));
+    for (toml, field) in [
+        ("kind = \"homogeneous\"\nnodes = 1\n", "nodes"),
+        ("kind = \"scaled\"\nmin_node_rate = 5\nmax_node_rate = 1\n", "min_node_rate"),
+    ] {
+        std::fs::write(&path, toml).unwrap();
+        let config = path.to_str().unwrap();
+        for args in [
+            vec!["describe", "--config", config],
+            vec!["run", "--config", config, "--study", "activity"],
+            vec!["run", "--config", config, "--study", "activity", "--streaming", "--window", "8"],
+        ] {
+            let out = psn_study(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(exit_code(&out), 3, "{args:?}: {stderr}");
+            assert!(stderr.contains(field), "{args:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}

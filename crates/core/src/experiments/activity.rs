@@ -2,10 +2,9 @@
 //! (per-node contact-count CDFs).
 
 use psn_stats::{BinnedSeries, Ecdf};
-use psn_trace::binning::contact_timeseries_per_minute;
-use psn_trace::{ContactRates, ContactTrace, DatasetId};
+use psn_trace::binning::{stationarity_from_series, StationarityReport};
+use psn_trace::ContactSummary;
 
-use crate::config::ExperimentProfile;
 use crate::report::{Block, Column, Scalar, Section, Series};
 
 /// The activity data for one dataset.
@@ -15,12 +14,12 @@ pub struct ActivityReport {
     pub scenario: String,
     /// Total contacts per one-minute bin (Fig. 1 series).
     pub per_minute: BinnedSeries,
-    /// Coefficient of variation of the per-minute counts (stationarity
-    /// check).
-    pub coefficient_of_variation: f64,
-    /// Mean of the final 30 minutes relative to the overall mean (the
-    /// afternoon drop-off diagnostic).
-    pub tail_ratio: f64,
+    /// Stationarity diagnostics of the per-minute counts: the coefficient
+    /// of variation and the mean of the final 30 minutes relative to the
+    /// overall mean (the afternoon drop-off). `None` when they are
+    /// undefined — a run without contacts, or a window shorter than the
+    /// 30-minute tail.
+    pub stationarity: Option<StationarityReport>,
     /// CDF of per-node contact counts (Fig. 7 series).
     pub contact_count_cdf: Ecdf,
     /// Kolmogorov–Smirnov distance of the contact-count distribution from a
@@ -31,15 +30,24 @@ pub struct ActivityReport {
 
 impl ActivityReport {
     /// The typed Fig. 1 section: contacts per minute, with the
-    /// stationarity diagnostics as machine-readable stats.
+    /// stationarity diagnostics as machine-readable stats. Undefined
+    /// diagnostics are left out of the stats and print as `-` in the title.
     pub fn timeseries_section(&self) -> Section {
         let points = self.per_minute.series().into_iter().map(|(t, c)| (t / 60.0, c)).collect();
-        Section::new()
-            .stat(Scalar::fixed("cv", self.coefficient_of_variation, 3))
-            .stat(Scalar::fixed("tail_ratio", self.tail_ratio, 3))
+        let mut section = Section::new();
+        let (cv, tail_ratio) = match &self.stationarity {
+            Some(s) => {
+                section = section
+                    .stat(Scalar::fixed("cv", s.coefficient_of_variation, 3))
+                    .stat(Scalar::fixed("tail_ratio", s.tail_ratio, 3));
+                (format!("{:.3}", s.coefficient_of_variation), format!("{:.3}", s.tail_ratio))
+            }
+            None => ("-".to_string(), "-".to_string()),
+        };
+        section
             .block(Block::Title(format!(
-                "Figure 1 — total contacts per minute, {} (cv={:.3}, tail ratio={:.3})",
-                self.scenario, self.coefficient_of_variation, self.tail_ratio
+                "Figure 1 — total contacts per minute, {} (cv={cv}, tail ratio={tail_ratio})",
+                self.scenario
             )))
             .block(Block::Series(Series::new(
                 "contacts per minute",
@@ -63,56 +71,22 @@ impl ActivityReport {
     }
 }
 
-/// Computes the Fig. 1 contact time series for one trace.
-pub fn contact_timeseries(trace: &ContactTrace) -> BinnedSeries {
-    contact_timeseries_per_minute(trace)
-}
-
-/// Computes the Fig. 7 per-node contact-count CDF for one trace.
-pub fn contact_rate_cdfs(trace: &ContactTrace) -> Option<Ecdf> {
-    ContactRates::from_trace(trace).count_cdf()
-}
-
-/// Runs the activity analysis for all four datasets at the given profile.
-pub fn run_activity_study(profile: ExperimentProfile) -> Vec<ActivityReport> {
-    DatasetId::all()
-        .into_iter()
-        .map(|id| {
-            let trace = profile.dataset(id).generate();
-            activity_report(id, &trace)
-        })
-        .collect()
-}
-
-/// Builds the activity report for one already-generated trace.
-pub fn activity_report(scenario: impl Into<String>, trace: &ContactTrace) -> ActivityReport {
-    activity_report_from_parts(scenario, contact_timeseries(trace), ContactRates::from_trace(trace))
-}
-
-/// Builds the activity report without a materialized trace — the
-/// stream-native path, where both the per-minute series and the per-node
-/// rates were folded online from the event stream. Bit-identical to
-/// [`activity_report`] when the summary matches the trace.
+/// Builds the activity report from a run's contact summary, whose
+/// per-minute series and per-node counts were folded from the contact
+/// events — by the stream pass in streaming runs, over the memoized trace
+/// in materialized ones.
 pub fn activity_report_streamed(
     scenario: impl Into<String>,
-    summary: &psn_trace::ContactSummary,
+    summary: &ContactSummary,
 ) -> ActivityReport {
-    activity_report_from_parts(scenario, summary.per_minute().clone(), summary.rates())
-}
-
-fn activity_report_from_parts(
-    scenario: impl Into<String>,
-    per_minute: BinnedSeries,
-    rates: ContactRates,
-) -> ActivityReport {
-    let stationarity = psn_trace::binning::stationarity_from_series(&per_minute)
-        .unwrap_or_else(|| unreachable!("generated datasets always contain contacts"));
+    let rates = summary.rates();
     ActivityReport {
         scenario: scenario.into(),
-        per_minute,
-        coefficient_of_variation: stationarity.coefficient_of_variation,
-        tail_ratio: stationarity.tail_ratio,
-        contact_count_cdf: rates.count_cdf().unwrap_or_else(|| unreachable!("non-empty trace")),
+        per_minute: summary.per_minute().clone(),
+        stationarity: stationarity_from_series(summary.per_minute()),
+        contact_count_cdf: rates
+            .count_cdf()
+            .unwrap_or_else(|| unreachable!("scenarios have at least two nodes")),
         uniformity_ks: rates.uniformity_ks().unwrap_or(1.0),
     }
 }
@@ -121,10 +95,24 @@ fn activity_report_from_parts(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::config::ExperimentProfile;
+    use crate::report::{JsonRenderer, ReportDoc};
+    use psn_trace::generator::HomogeneousConfig;
+    use psn_trace::{DatasetId, ScenarioConfig};
+
+    fn quick_reports() -> Vec<ActivityReport> {
+        DatasetId::all()
+            .into_iter()
+            .map(|id| {
+                let trace = ExperimentProfile::Quick.dataset(id).generate();
+                activity_report_streamed(id, &ContactSummary::from_trace(&trace))
+            })
+            .collect()
+    }
 
     #[test]
     fn quick_study_covers_all_datasets() {
-        let reports = run_activity_study(ExperimentProfile::Quick);
+        let reports = quick_reports();
         assert_eq!(reports.len(), 4);
         for report in &reports {
             assert!(report.per_minute.total() > 0.0, "{:?}", report.scenario);
@@ -142,9 +130,10 @@ mod tests {
 
     #[test]
     fn afternoon_datasets_show_stronger_tail_dropoff() {
-        let reports = run_activity_study(ExperimentProfile::Quick);
+        let reports = quick_reports();
         let get = |id: DatasetId| {
-            reports.iter().find(|r| r.scenario == id.label()).expect("present").tail_ratio
+            let report = reports.iter().find(|r| r.scenario == id.label()).expect("present");
+            report.stationarity.as_ref().expect("three-hour windows have a tail").tail_ratio
         };
         assert!(
             get(DatasetId::Infocom06Afternoon) < get(DatasetId::Infocom06Morning),
@@ -156,8 +145,34 @@ mod tests {
     #[test]
     fn single_trace_helpers() {
         let trace = ExperimentProfile::Quick.dataset(DatasetId::Conext06Morning).generate();
-        let series = contact_timeseries(&trace);
-        assert_eq!(series.bin_width(), 60.0);
-        assert!(contact_rate_cdfs(&trace).is_some());
+        let summary = ContactSummary::from_trace(&trace);
+        assert_eq!(summary.per_minute().bin_width(), 60.0);
+        assert!(summary.rates().count_cdf().is_some());
+    }
+
+    #[test]
+    fn contact_free_run_renders_without_stationarity() {
+        // A population too sparse to meet in its window: the per-minute
+        // series is all zeros, so cv and tail ratio are undefined.
+        let config = ScenarioConfig::Homogeneous(HomogeneousConfig {
+            nodes: 4,
+            window_seconds: 60.0,
+            node_contact_rate: 1e-6,
+            mean_contact_duration: 120.0,
+            seed: 1,
+        });
+        let trace = config.generate();
+        assert_eq!(trace.contact_count(), 0);
+        let report = activity_report_streamed("sparse", &ContactSummary::from_trace(&trace));
+        assert!(report.stationarity.is_none());
+
+        let section = report.timeseries_section();
+        assert!(section.scalars().is_empty(), "undefined stats are left out");
+        let mut doc = ReportDoc::new("activity");
+        doc.sections = vec![section, report.contact_cdf_section()];
+        let text = crate::report::TextRenderer.render_text(&doc);
+        assert!(text.contains("(cv=-, tail ratio=-)"), "{text}");
+        let json = JsonRenderer.render_json(&doc);
+        assert_eq!(JsonRenderer.parse(&json).unwrap(), doc, "json round trip");
     }
 }

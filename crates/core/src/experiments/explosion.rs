@@ -17,13 +17,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use psn_spacetime::{
-    EnumerationConfig, ExplosionProfile, ExplosionSummary, GraphRef, Message, MessageGenerator,
-    Path, PathEnumerator, SpaceTimeGraph,
+    EnumerationConfig, ExplosionProfile, ExplosionSummary, GraphRef, Message, Path, PathEnumerator,
 };
 use psn_stats::{correlation, Histogram};
-use psn_trace::{ContactRates, ContactTrace, DatasetId, Seconds};
+use psn_trace::{ContactRates, ContactTrace, Seconds};
 
-use crate::config::ExperimentProfile;
 use crate::report::{Block, Column, Scalar, Section, Series};
 use psn_forwarding::{classify_message, PairType};
 
@@ -189,68 +187,17 @@ impl ExplosionStudy {
     }
 }
 
-/// Runs the explosion study on one dataset at the given profile, using
-/// `threads` worker threads for per-message enumeration.
-pub fn run_explosion_study(
-    profile: ExperimentProfile,
-    dataset: DatasetId,
-    threads: usize,
-) -> ExplosionStudy {
-    let trace = profile.dataset(dataset).generate();
-    let generator = MessageGenerator::new(psn_spacetime::MessageWorkloadConfig {
-        nodes: trace.node_count(),
-        generation_horizon: (trace.window().duration() * 2.0 / 3.0).max(1.0),
-        mean_interarrival: 4.0,
-        seed: 0xEC0,
-    });
-    let messages = generator.uniform_messages(profile.enumeration_messages());
-    run_explosion_study_on(
-        dataset,
-        &trace,
-        &messages,
-        profile.enumeration_config(),
-        profile.explosion_threshold(),
-        threads,
-    )
-}
-
-/// Runs the explosion study on an explicit trace and message set — the entry
-/// point used by tests and by ablation benchmarks that vary Δ, k or the
-/// trace generator. Builds a private default-Δ space-time graph; callers
-/// that already hold a (possibly cached) graph for this trace should use
-/// [`run_explosion_study_on_graph`].
-pub fn run_explosion_study_on(
-    scenario: impl Into<String>,
-    trace: &ContactTrace,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-    explosion_threshold: usize,
-    threads: usize,
-) -> ExplosionStudy {
-    let graph = SpaceTimeGraph::build_default(trace);
-    run_explosion_study_on_graph(
-        scenario,
-        trace,
-        &graph,
-        messages,
-        enumeration,
-        explosion_threshold,
-        threads,
-    )
-}
-
-/// Runs the explosion study against an already-built space-time graph —
-/// the artifact-store path, where one graph is memoized per trace and
-/// shared across views, seeds and sweep cells — or a bounded-window
-/// streaming graph ([`GraphRef`] accepts either representation). The graph
-/// must belong to `trace`; results are identical to
-/// [`run_explosion_study_on`] when it was built with the default Δ.
+/// Runs the explosion study against a materialized trace and a space-time
+/// graph built from it, deriving the per-node rates from the trace.
+///
+/// Kept only because the repository benchmark's traced pass (`perfbench/`)
+/// calls it by name; the study pipeline feeds every run through
+/// [`run_explosion_study_streamed`]. It goes when the benchmark is pointed
+/// at the summary entries.
 ///
 /// # Panics
 ///
-/// Panics if the graph was built from a different trace, or when a
-/// worker panicked mid-enumeration (e.g. a chaos-armed failpoint) — the
-/// first worker panic is re-raised once on the calling thread.
+/// As [`run_explosion_study_streamed`].
 pub fn run_explosion_study_on_graph<'a>(
     scenario: impl Into<String>,
     trace: &ContactTrace,
@@ -260,8 +207,6 @@ pub fn run_explosion_study_on_graph<'a>(
     explosion_threshold: usize,
     threads: usize,
 ) -> ExplosionStudy {
-    let graph = graph.into();
-    assert_eq!(graph.node_count(), trace.node_count(), "graph belongs to a different trace");
     run_explosion_study_streamed(
         scenario,
         ContactRates::from_trace(trace),
@@ -273,16 +218,18 @@ pub fn run_explosion_study_on_graph<'a>(
     )
 }
 
-/// Runs the explosion study without a materialized trace — the stream-native
-/// path, where the per-node contact rates (the only trace statistic this
-/// study reads) are folded online from the event stream
-/// ([`psn_trace::ContactSummary::rates`]). Bit-identical to
-/// [`run_explosion_study_on_graph`] when the rates match the trace.
+/// Runs the explosion study over a space-time graph — the materialized one
+/// memoized by the artifact store, or a bounded-window streaming graph
+/// ([`GraphRef`] accepts either representation). The per-node contact
+/// rates are the only trace statistic the study reads; the pipeline takes
+/// them from the run's [`psn_trace::ContactSummary::rates`].
 ///
 /// # Panics
 ///
-/// As [`run_explosion_study_on_graph`]; the graph must cover the same node
-/// population the rates were folded over.
+/// Panics if the graph covers a different node population than the
+/// rates, or when a worker panicked mid-enumeration (e.g. a chaos-armed
+/// failpoint) — the first worker panic is re-raised once on the calling
+/// thread.
 pub fn run_explosion_study_streamed<'a>(
     scenario: impl Into<String>,
     rates: ContactRates,
@@ -454,8 +401,8 @@ pub fn run_explosion_study_streamed<'a>(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use psn_spacetime::MessageGenerator;
-    use psn_trace::SyntheticDataset;
+    use psn_spacetime::{MessageGenerator, SpaceTimeGraph};
+    use psn_trace::{DatasetId, SyntheticDataset};
 
     fn small_study() -> ExplosionStudy {
         // A deliberately small configuration so the unit test stays fast:
@@ -472,9 +419,10 @@ mod tests {
             seed: 7,
         });
         let messages = generator.uniform_messages(12);
-        run_explosion_study_on(
+        run_explosion_study_streamed(
             DatasetId::Infocom06Morning,
-            &trace,
+            ContactRates::from_trace(&trace),
+            &SpaceTimeGraph::build_default(&trace),
             &messages,
             EnumerationConfig::quick(40),
             40,

@@ -18,9 +18,8 @@ use psn_forwarding::{
 use psn_spacetime::Message;
 use psn_spacetime::{MessageGenerator, MessageWorkloadConfig};
 use psn_stats::BinnedSeries;
-use psn_trace::{ContactRates, ContactTrace, DatasetId};
+use psn_trace::{ContactRates, ContactSummary, ContactTrace};
 
-use crate::config::ExperimentProfile;
 use crate::report::{Block, CellValue, Column, Scalar, Section, Series, Table};
 
 /// Results for one algorithm on one dataset.
@@ -202,44 +201,53 @@ impl ForwardingStudy {
     }
 }
 
-/// Runs the forwarding study on one dataset at the given profile, using
-/// `threads` simulator worker threads (`0` = one per available core).
-pub fn run_forwarding_study(
-    profile: ExperimentProfile,
-    dataset: DatasetId,
-    threads: usize,
-) -> ForwardingStudy {
-    let trace = profile.dataset(dataset).generate();
-    let workload = profile.workload(trace.node_count());
-    run_forwarding_study_on(dataset, &trace, workload, profile.simulation_runs(), threads)
-}
-
-/// Runs the forwarding study on an explicit trace and workload — the entry
-/// point used by tests and ablation benches. `threads` is the simulator
-/// worker count (`0` = one per available core); it never affects results.
-/// Builds private graph/timeline structures; callers that already hold
-/// cached ones should use [`run_forwarding_study_shared`].
-pub fn run_forwarding_study_on(
+/// Runs the forwarding study against a materialized trace, folding its
+/// [`ContactSummary`] and delegating to [`run_forwarding_study_streamed`].
+///
+/// Kept only because the repository benchmark's traced pass (`perfbench/`)
+/// calls it by name; the study pipeline feeds every run through
+/// [`run_forwarding_study_streamed`]. It goes when the benchmark is pointed
+/// at the summary entries.
+pub fn run_forwarding_study_shared(
     scenario: impl Into<String>,
     trace: &ContactTrace,
+    graph: impl Into<psn_spacetime::SharedGraph>,
+    timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
     workload: MessageWorkloadConfig,
     runs: usize,
     threads: usize,
 ) -> ForwardingStudy {
-    let simulator = Simulator::new(trace, SimulatorConfig { threads, ..Default::default() });
-    let rates = ContactRates::from_trace(trace);
-    run_forwarding_study_with(scenario, rates, trace.window(), simulator, workload, runs)
+    run_forwarding_study_streamed(
+        scenario,
+        &ContactSummary::from_trace(trace),
+        graph,
+        timeline,
+        workload,
+        runs,
+        threads,
+    )
 }
 
-/// Runs the forwarding study around an already-built space-time graph and
-/// history timeline — the artifact-store path, where both are memoized per
-/// trace and shared across views, seeds and sweep cells — or a
-/// bounded-window streaming graph ([`psn_spacetime::SharedGraph`] accepts
-/// either representation). Results are bit-identical to
-/// [`run_forwarding_study_on`] for parts built at the default Δ.
-pub fn run_forwarding_study_shared(
+/// Runs the forwarding study around a space-time graph and history
+/// timeline — the materialized pair memoized by the artifact store and
+/// shared across views, seeds and sweep cells, or the bounded-window
+/// streaming graph with its riding timeline
+/// ([`psn_spacetime::SharedGraph`] accepts either representation).
+/// Everything the study reads off the contacts comes from the run's
+/// [`ContactSummary`]: per-node rates, the observation window, and the
+/// future-knowledge oracle from the summary's pair counts
+/// ([`psn_forwarding::TraceOracle::from_summary`]). `threads` is the
+/// simulator worker count (`0` = one per available core); it never
+/// affects results.
+///
+/// # Panics
+///
+/// Panics when the summary was folded without pair counts
+/// ([`ContactSummary::rates_only`]), or when the parts disagree on node
+/// count.
+pub fn run_forwarding_study_streamed(
     scenario: impl Into<String>,
-    trace: &ContactTrace,
+    summary: &ContactSummary,
     graph: impl Into<psn_spacetime::SharedGraph>,
     timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
     workload: MessageWorkloadConfig,
@@ -250,30 +258,6 @@ pub fn run_forwarding_study_shared(
     // The simulator's Δ must match however the graph was discretized — a
     // `params.delta` sweep axis reaches here with non-default slotting.
     let delta = graph.as_graph_ref().delta();
-    let simulator =
-        Simulator::from_parts(trace, graph, timeline, SimulatorConfig { delta, threads });
-    let rates = ContactRates::from_trace(trace);
-    run_forwarding_study_with(scenario, rates, trace.window(), simulator, workload, runs)
-}
-
-/// Runs the forwarding study without a materialized trace — the
-/// stream-native path. Everything the study reads off the trace is folded
-/// online from the event stream: per-node rates and the observation window
-/// from the [`psn_trace::ContactSummary`], and the future-knowledge oracle
-/// from the summary's pair counts
-/// ([`psn_forwarding::TraceOracle::from_summary`]). Bit-identical to
-/// [`run_forwarding_study_shared`] when the summary matches the trace.
-pub fn run_forwarding_study_streamed(
-    scenario: impl Into<String>,
-    summary: &psn_trace::ContactSummary,
-    graph: impl Into<psn_spacetime::SharedGraph>,
-    timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
-    workload: MessageWorkloadConfig,
-    runs: usize,
-    threads: usize,
-) -> ForwardingStudy {
-    let graph = graph.into();
-    let delta = graph.as_graph_ref().delta();
     let simulator = Simulator::from_streamed_parts(
         summary.node_count(),
         psn_forwarding::TraceOracle::from_summary(summary),
@@ -281,24 +265,8 @@ pub fn run_forwarding_study_streamed(
         timeline,
         SimulatorConfig { delta, threads },
     );
-    run_forwarding_study_with(
-        scenario,
-        summary.rates(),
-        summary.window(),
-        simulator,
-        workload,
-        runs,
-    )
-}
-
-fn run_forwarding_study_with(
-    scenario: impl Into<String>,
-    rates: ContactRates,
-    window: psn_trace::TimeWindow,
-    simulator: Simulator,
-    workload: MessageWorkloadConfig,
-    runs: usize,
-) -> ForwardingStudy {
+    let rates = summary.rates();
+    let window = summary.window();
     assert!(runs >= 1, "need at least one simulation run");
     let generator = MessageGenerator::new(workload);
 
@@ -368,7 +336,28 @@ fn run_forwarding_study_with(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use psn_trace::SyntheticDataset;
+    use psn_forwarding::HistoryTimeline;
+    use psn_spacetime::SpaceTimeGraph;
+    use psn_trace::{DatasetId, SyntheticDataset};
+
+    fn study_on(
+        trace: &ContactTrace,
+        workload: MessageWorkloadConfig,
+        runs: usize,
+    ) -> ForwardingStudy {
+        let graph = std::sync::Arc::new(SpaceTimeGraph::build_default(trace));
+        let timeline = std::sync::Arc::new(HistoryTimeline::build(&graph));
+        let summary = ContactSummary::from_trace(trace);
+        run_forwarding_study_streamed(
+            DatasetId::Infocom06Morning,
+            &summary,
+            graph,
+            timeline,
+            workload,
+            runs,
+            0,
+        )
+    }
 
     fn small_study() -> ForwardingStudy {
         let mut ds = SyntheticDataset::quick_config(DatasetId::Infocom06Morning);
@@ -382,7 +371,7 @@ mod tests {
             mean_interarrival: 20.0,
             seed: 3,
         };
-        run_forwarding_study_on(DatasetId::Infocom06Morning, &trace, workload, 2, 0)
+        study_on(&trace, workload, 2)
     }
 
     #[test]
@@ -489,7 +478,7 @@ mod tests {
             mean_interarrival: 30.0,
             seed: 11,
         };
-        let study = run_forwarding_study_on(DatasetId::Infocom06Morning, &trace, workload, 1, 0);
+        let study = study_on(&trace, workload, 1);
         let epidemic = study.get(AlgorithmKind::Epidemic);
         let delivered = epidemic.outcomes.iter().filter(|o| o.delivered()).count();
         assert!(delivered > 0, "epidemic should deliver something on this trace");

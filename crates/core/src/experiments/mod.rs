@@ -9,11 +9,13 @@
 //! | [`hop_rates`] | Fig. 14, 15 | mean contact rate per hop of near-optimal paths, per-hop rate-ratio box plots |
 //! | [`model`] | §5.1 | agreement between the jump process, the ODE limit and the closed forms |
 //!
-//! Every driver takes an [`crate::ExperimentProfile`] so the same code path
-//! serves the integration tests (quick) and the paper-scale figure presets.
-//! The drivers are scenario-agnostic: each `run_*_on` entry point takes an
-//! explicit trace plus a section label, and the [`crate::study`] pipeline
-//! feeds any [`psn_trace::ScenarioConfig`] through them.
+//! The drivers are scenario-agnostic: each study has one entry point
+//! (`run_*_streamed`, `activity_report_streamed`) that reads its contact
+//! statistics from a [`psn_trace::ContactSummary`] and, where it needs
+//! them, a space-time graph and history timeline. The [`crate::study`]
+//! pipeline folds that summary for every run — over the scenario's event
+//! stream, or over the memoized trace — so any
+//! [`psn_trace::ScenarioConfig`] flows through the same calls.
 
 pub mod activity;
 pub mod explosion;
@@ -22,9 +24,9 @@ pub mod hop_rates;
 pub mod model;
 pub mod paths_taken;
 
-pub use activity::{contact_rate_cdfs, contact_timeseries, ActivityReport};
-pub use explosion::{run_explosion_study, ExplosionStudy, PairTypeScatter};
-pub use forwarding::{run_forwarding_study, ForwardingStudy};
+pub use activity::{activity_report_streamed, ActivityReport};
+pub use explosion::{run_explosion_study_streamed, ExplosionStudy, PairTypeScatter};
+pub use forwarding::{run_forwarding_study_streamed, ForwardingStudy};
 pub use hop_rates::{run_hop_rate_study, HopRateStudy};
 pub use model::{run_model_validation, ModelValidation};
-pub use paths_taken::{run_paths_taken, PathsTakenCase};
+pub use paths_taken::{run_paths_taken_streamed, PathsTakenCase};

@@ -7,8 +7,8 @@
 //! lands early in the explosion process even when it is not optimal.
 
 use psn_forwarding::{standard_algorithms, AlgorithmKind, Simulator, SimulatorConfig};
-use psn_spacetime::{EnumerationConfig, Message, PathEnumerator, SpaceTimeGraph};
-use psn_trace::{ContactTrace, Seconds};
+use psn_spacetime::{EnumerationConfig, Message, PathEnumerator};
+use psn_trace::{ContactSummary, Seconds};
 
 use crate::report::{Block, CellValue, Column, Section, Table};
 
@@ -69,46 +69,15 @@ impl PathsTakenCase {
     }
 }
 
-/// Runs the Fig. 12 analysis for a set of messages over one trace.
-/// Builds private graph/timeline structures; callers that already hold
-/// cached ones should use [`run_paths_taken_shared`].
-pub fn run_paths_taken(
-    trace: &ContactTrace,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-) -> Vec<PathsTakenCase> {
-    let graph = std::sync::Arc::new(SpaceTimeGraph::build_default(trace));
-    let timeline = std::sync::Arc::new(psn_forwarding::HistoryTimeline::build(&graph));
-    run_paths_taken_shared(trace, graph, timeline, messages, enumeration)
-}
-
-/// Runs the Fig. 12 analysis around an already-built default-Δ space-time
-/// graph and history timeline — the artifact-store path — or a
-/// bounded-window streaming graph ([`psn_spacetime::SharedGraph`] accepts
-/// either representation). The enumerator and the simulator share the one
-/// graph, so the analysis builds nothing per call; results are
-/// bit-identical to [`run_paths_taken`].
-pub fn run_paths_taken_shared(
-    trace: &ContactTrace,
-    graph: impl Into<psn_spacetime::SharedGraph>,
-    timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-) -> Vec<PathsTakenCase> {
-    let graph = graph.into();
-    // The simulator's Δ must match however the graph was discretized.
-    let config =
-        SimulatorConfig { delta: graph.as_graph_ref().delta(), ..SimulatorConfig::default() };
-    let simulator = Simulator::from_parts(trace, graph.clone(), timeline, config);
-    run_paths_taken_with(graph, simulator, messages, enumeration)
-}
-
-/// Runs the Fig. 12 analysis without a materialized trace — the
-/// stream-native path, where the simulator's oracle is folded from the
-/// event stream ([`psn_trace::ContactSummary`]). Bit-identical to
-/// [`run_paths_taken_shared`] when the summary matches the trace.
+/// Runs the Fig. 12 analysis for a set of messages around a space-time
+/// graph and history timeline — the materialized pair memoized by the
+/// artifact store, or a bounded-window streaming graph
+/// ([`psn_spacetime::SharedGraph`] accepts either representation). The
+/// enumerator and the simulator share the one graph, so the analysis
+/// builds nothing per call; the simulator's oracle comes from the run's
+/// [`ContactSummary`], which must carry pair counts.
 pub fn run_paths_taken_streamed(
-    summary: &psn_trace::ContactSummary,
+    summary: &ContactSummary,
     graph: impl Into<psn_spacetime::SharedGraph>,
     timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
     messages: &[Message],
@@ -124,15 +93,6 @@ pub fn run_paths_taken_streamed(
         timeline,
         config,
     );
-    run_paths_taken_with(graph, simulator, messages, enumeration)
-}
-
-fn run_paths_taken_with(
-    graph: psn_spacetime::SharedGraph,
-    simulator: Simulator,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-) -> Vec<PathsTakenCase> {
     let enumerator = PathEnumerator::new(&graph, enumeration);
     let algorithms = standard_algorithms();
 
@@ -201,7 +161,8 @@ fn run_paths_taken_with(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use psn_spacetime::MessageGenerator;
+    use psn_forwarding::HistoryTimeline;
+    use psn_spacetime::{MessageGenerator, SpaceTimeGraph};
     use psn_trace::{DatasetId, SyntheticDataset};
 
     #[test]
@@ -218,7 +179,15 @@ mod tests {
             seed: 5,
         });
         let messages = generator.uniform_messages(3);
-        let cases = run_paths_taken(&trace, &messages, EnumerationConfig::quick(30));
+        let graph = std::sync::Arc::new(SpaceTimeGraph::build_default(&trace));
+        let timeline = std::sync::Arc::new(HistoryTimeline::build(&graph));
+        let cases = run_paths_taken_streamed(
+            &ContactSummary::from_trace(&trace),
+            graph,
+            timeline,
+            &messages,
+            EnumerationConfig::quick(30),
+        );
         assert_eq!(cases.len(), 3);
         for case in &cases {
             assert_eq!(case.algorithm_arrivals.len(), 6);

@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::experiments;
     pub use psn_analytic::{HomogeneousModel, PairClass, TwoClassModel};
     pub use psn_forwarding::{
-        standard_algorithms, AlgorithmKind, AlgorithmMetrics, PairType, SimulationResult,
-        Simulator, SimulatorConfig,
+        standard_algorithms, AlgorithmKind, AlgorithmMetrics, HistoryTimeline, PairType,
+        SimulationResult, Simulator, SimulatorConfig,
     };
     pub use psn_spacetime::{
         epidemic_delivery_time, EnumerationConfig, EnumerationScratch, ExplosionProfile,
@@ -89,6 +89,7 @@ pub mod prelude {
     };
     pub use psn_stats::{BoxPlot, ConfidenceInterval, Ecdf, Histogram, Summary};
     pub use psn_trace::{
-        ContactRates, ContactTrace, DatasetId, NodeClass, NodeId, RateClass, SyntheticDataset,
+        ContactRates, ContactSummary, ContactTrace, DatasetId, NodeClass, NodeId, RateClass,
+        SyntheticDataset,
     };
 }

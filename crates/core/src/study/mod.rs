@@ -44,24 +44,22 @@ pub mod sweep;
 pub use psn_artifact::{ArtifactError, ArtifactStore, CacheSource, StoreStats};
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use psn_artifact::{ArtifactKey, ArtifactKind, BuiltArtifact};
 use psn_spacetime::{EnumerationConfig, MessageGenerator, MessageWorkloadConfig};
-use psn_trace::{ContactStream, FingerprintHasher, ScenarioConfig, Seconds};
+use psn_trace::{
+    ContactStream, ContactSummary, FingerprintHasher, ScenarioConfig, Seconds, SummarizingStream,
+    TraceEventStream,
+};
 
 use crate::config::ExperimentProfile;
-use crate::experiments::activity::{activity_report, activity_report_streamed, ActivityReport};
-use crate::experiments::explosion::{
-    run_explosion_study_on_graph, run_explosion_study_streamed, ExplosionStudy,
-};
-use crate::experiments::forwarding::{
-    run_forwarding_study_shared, run_forwarding_study_streamed, ForwardingStudy,
-};
-use crate::experiments::hop_rates::{
-    run_hop_rate_study, run_hop_rate_study_on_outcomes, HopRateStudy,
-};
+use crate::experiments::activity::activity_report_streamed;
+use crate::experiments::explosion::run_explosion_study_streamed;
+use crate::experiments::forwarding::run_forwarding_study_streamed;
+use crate::experiments::hop_rates::{run_hop_rate_study, run_hop_rate_study_on_outcomes};
 use crate::experiments::model::run_model_validation;
-use crate::experiments::paths_taken::{run_paths_taken_shared, run_paths_taken_streamed};
+use crate::experiments::paths_taken::run_paths_taken_streamed;
 use crate::report::{
     Artifact, Block, CellValue, Column, JsonRenderer, Renderer, ReportDoc, RunMeta, Scalar,
     Section, Table, TextRenderer,
@@ -855,14 +853,6 @@ impl StudyReport {
     }
 }
 
-/// Per-run engine outputs, computed once and shared across views.
-struct RunOutputs {
-    explosion: Option<ExplosionStudy>,
-    forwarding: Option<ForwardingStudy>,
-    activity: Option<ActivityReport>,
-    hop_rates: Option<HopRateStudy>,
-}
-
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -1032,33 +1022,100 @@ fn run_one_inner(
     Ok((source, (*sections).clone()))
 }
 
-/// Computes one run's typed sections with `threads` engine workers,
-/// resolving the trace, space-time graph and history timeline through the
-/// artifact store so every run over the same scenario shares them.
-/// What one run's engines read their trace-level statistics from: the
-/// memoized materialized trace, or the summary folded online from the
-/// contact-event stream (stream-native mode, which never materializes).
-enum RunSource {
-    Materialized(std::sync::Arc<psn_trace::ContactTrace>),
-    Streamed(psn_trace::ContactSummary),
+/// What one run's engines read: the contact summary (node count, window,
+/// per-node and — for the forwarding oracle — per-pair counts, per-minute
+/// bins) and, when the views need them, the Δ-slotted space-time graph and
+/// the history timeline.
+struct EngineInputs {
+    summary: ContactSummary,
+    graph: Option<psn_spacetime::SharedGraph>,
+    timeline: Option<Arc<psn_forwarding::HistoryTimeline>>,
 }
 
-impl RunSource {
-    fn node_count(&self) -> usize {
-        match self {
-            RunSource::Materialized(trace) => trace.node_count(),
-            RunSource::Streamed(summary) => summary.node_count(),
+/// Resolves one run's engine inputs. Both arms fold the summary through
+/// the same [`SummarizingStream`], so every engine reads identical inputs
+/// either way:
+///
+/// * **materialized** — the trace, graph and timeline come from the
+///   artifact store, memoized across every run, seed and sweep cell with
+///   the same fingerprint, and the summary is folded over the trace's
+///   event stream;
+/// * **streaming** — the trace artifact is never touched: the scenario's
+///   O(1)-state stream feeds one pass that folds the bounded-window graph,
+///   the timeline and the summary together, with outputs pinned
+///   bit-identical to the materialized arm by differential tests — which
+///   is why `streaming_window` stays out of cache keys.
+///
+/// The forwarding oracle is the only consumer of the O(nodes²) pair
+/// matrix; enumeration- and activity-only runs fold per-node state only.
+fn engine_inputs(
+    views: &[StudyView],
+    run: &PlannedRun,
+    p: &StudyParams,
+    store: &ArtifactStore,
+) -> Result<EngineInputs, ArtifactError> {
+    let needs_timeline =
+        views.contains(&StudyView::PathsTaken) || views.iter().any(StudyView::needs_forwarding);
+    let needs_graph = needs_timeline || views.iter().any(StudyView::needs_explosion);
+    let needs_pair_counts = needs_timeline;
+    match p.streaming_window {
+        None => {
+            let (trace, _) = store.scenario_trace(&run.config)?;
+            let mut stream = summarizing(TraceEventStream::new(&trace, p.delta), needs_pair_counts);
+            drain(&mut stream)?;
+            let (graph, timeline) = if needs_graph {
+                let graph = store.spacetime_graph(&run.config, &trace, p.delta)?.0;
+                let timeline = if needs_timeline {
+                    Some(store.history_timeline(&run.config, &graph, p.delta)?.0)
+                } else {
+                    None
+                };
+                (Some(graph.into()), timeline)
+            } else {
+                (None, None)
+            };
+            Ok(EngineInputs { summary: stream.into_summary(), graph, timeline })
         }
-    }
-
-    fn window_duration(&self) -> Seconds {
-        match self {
-            RunSource::Materialized(trace) => trace.window().duration(),
-            RunSource::Streamed(summary) => summary.window().duration(),
+        Some(window) => {
+            let mut stream = summarizing(run.config.stream(p.delta), needs_pair_counts);
+            let (graph, timeline) = if needs_graph {
+                let (graph, timeline) =
+                    stream_graph_and_timeline(&mut stream, window, needs_timeline, store)?;
+                (Some(graph), timeline)
+            } else {
+                // Activity-only studies have no graph to fold, but the
+                // summary still wants every event.
+                drain(&mut stream)?;
+                (None, None)
+            };
+            Ok(EngineInputs { summary: stream.into_summary(), graph, timeline })
         }
     }
 }
 
+fn summarizing<S: ContactStream>(stream: S, pair_counts: bool) -> SummarizingStream<S> {
+    if pair_counts {
+        SummarizingStream::new(stream)
+    } else {
+        SummarizingStream::rates_only(stream)
+    }
+}
+
+fn stream_error(context: &str, message: String) -> ArtifactError {
+    ArtifactError::Io { context: context.to_string(), source: std::io::Error::other(message) }
+}
+
+fn drain(stream: &mut impl ContactStream) -> Result<(), ArtifactError> {
+    while stream
+        .next_event()
+        .map_err(|e| stream_error("draining contact stream", e.to_string()))?
+        .is_some()
+    {}
+    Ok(())
+}
+
+/// Computes one run's typed sections with `threads` engine workers: one
+/// engine call per study over the run's [`EngineInputs`].
 fn compute_run_sections(
     plan: &StudyPlan,
     run: &PlannedRun,
@@ -1077,250 +1134,87 @@ fn compute_run_sections(
         .iter()
         .any(|v| matches!(v, StudyView::HopRateProgression | StudyView::RateRatios));
 
-    let has_paths_taken = plan.views.contains(&StudyView::PathsTaken);
-    // The graph and timeline are resolved up front (not per engine):
-    // enumeration, the simulator and the paths-taken analysis all share the
-    // one Δ-slotted graph of this scenario. Materialized mode memoizes both
-    // through the artifact store, shared across every run, seed and sweep
-    // cell with the same fingerprint. Streaming mode never touches the
-    // trace artifact at all: the scenario's O(1)-state stream source feeds
-    // one pass that folds the bounded-window graph, the timeline and every
-    // trace aggregate the engines need (rates, pair counts, activity bins)
-    // together, with outputs pinned bit-identical to the materialized
-    // engines by differential tests — which is why `streaming_window`
-    // stays out of cache keys.
-    let needs_graph = needs_explosion || needs_forwarding || has_paths_taken;
-    let needs_timeline = needs_forwarding || has_paths_taken;
-    // The forwarding oracle is the only consumer of the O(nodes²) pair
-    // matrix; enumeration/activity-only studies fold per-node state only.
-    let needs_pair_counts = needs_timeline;
-    let (source, graph, timeline): (
-        RunSource,
-        Option<psn_spacetime::SharedGraph>,
-        Option<std::sync::Arc<psn_forwarding::HistoryTimeline>>,
-    ) = match p.streaming_window {
-        None => {
-            let (trace, _) = store.scenario_trace(&run.config)?;
-            let (graph, timeline) = if needs_graph {
-                let graph = store.spacetime_graph(&run.config, &trace, p.delta)?.0;
-                let timeline = if needs_timeline {
-                    Some(store.history_timeline(&run.config, &graph, p.delta)?.0)
-                } else {
-                    None
-                };
-                (Some(graph.into()), timeline)
-            } else {
-                (None, None)
-            };
-            (RunSource::Materialized(trace), graph, timeline)
-        }
-        Some(window) => {
-            let mut stream = if needs_pair_counts {
-                psn_trace::SummarizingStream::new(run.config.stream(p.delta))
-            } else {
-                psn_trace::SummarizingStream::rates_only(run.config.stream(p.delta))
-            };
-            let (graph, timeline) = if needs_graph {
-                let (graph, timeline) =
-                    stream_graph_and_timeline(&mut stream, window, needs_timeline, store)?;
-                (Some(graph), timeline)
-            } else {
-                // Activity-only studies have no graph to fold, but the
-                // summary still wants every event.
-                while stream
-                    .next_event()
-                    .map_err(|e| ArtifactError::Io {
-                        context: "draining scenario contact stream".to_string(),
-                        source: std::io::Error::other(e.to_string()),
-                    })?
-                    .is_some()
-                {}
-                (None, None)
-            };
-            (RunSource::Streamed(stream.into_summary()), graph, timeline)
-        }
-    };
+    let EngineInputs { summary, graph, timeline } = engine_inputs(&plan.views, run, p, store)?;
+    let nodes = summary.node_count();
+    let window_seconds = summary.window().duration();
+    let graph = || graph.clone().unwrap_or_else(|| unreachable!("graph views resolve a graph"));
+    let timeline =
+        || timeline.clone().unwrap_or_else(|| unreachable!("timeline views resolve a timeline"));
 
-    let mut outputs =
-        RunOutputs { explosion: None, forwarding: None, activity: None, hop_rates: None };
-    if needs_explosion {
+    let explosion = needs_explosion.then(|| {
         let generator = MessageGenerator::new(MessageWorkloadConfig {
-            nodes: source.node_count(),
-            generation_horizon: (source.window_duration() * 2.0 / 3.0).max(1.0),
+            nodes,
+            generation_horizon: (window_seconds * 2.0 / 3.0).max(1.0),
             mean_interarrival: 4.0,
             seed: p.enumeration_message_seed,
         });
         let messages = generator.uniform_messages(p.enumeration_messages);
-        let graph = graph.as_ref().unwrap_or_else(|| unreachable!("explosion implies a graph"));
-        outputs.explosion = Some(match &source {
-            RunSource::Materialized(trace) => run_explosion_study_on_graph(
-                run.label.clone(),
-                trace,
-                graph,
-                &messages,
-                p.enumeration.clone(),
-                p.explosion_threshold,
-                threads,
-            ),
-            RunSource::Streamed(summary) => run_explosion_study_streamed(
-                run.label.clone(),
-                summary.rates(),
-                graph,
-                &messages,
-                p.enumeration.clone(),
-                p.explosion_threshold,
-                threads,
-            ),
-        });
-    }
-    if needs_forwarding {
-        let workload = p.forwarding_workload(source.node_count(), source.window_duration());
-        let graph = graph.clone().unwrap_or_else(|| unreachable!("forwarding implies a graph"));
-        let timeline =
-            timeline.clone().unwrap_or_else(|| unreachable!("forwarding implies a timeline"));
-        outputs.forwarding = Some(match &source {
-            RunSource::Materialized(trace) => run_forwarding_study_shared(
-                run.label.clone(),
-                trace,
-                graph,
-                timeline,
-                workload,
-                p.simulation_runs,
-                threads,
-            ),
-            RunSource::Streamed(summary) => run_forwarding_study_streamed(
-                run.label.clone(),
-                summary,
-                graph,
-                timeline,
-                workload,
-                p.simulation_runs,
-                threads,
-            ),
-        });
-    }
-    if needs_activity {
-        outputs.activity = Some(match &source {
-            RunSource::Materialized(trace) => activity_report(run.label.clone(), trace),
-            RunSource::Streamed(summary) => activity_report_streamed(run.label.clone(), summary),
-        });
-    }
-    if needs_hop_rates {
-        let study = outputs
-            .explosion
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("hop-rate views imply explosion"));
-        outputs.hop_rates = Some(run_hop_rate_study(&study.sample_paths, &study.rates));
-    }
+        run_explosion_study_streamed(
+            run.label.clone(),
+            summary.rates(),
+            &graph(),
+            &messages,
+            p.enumeration.clone(),
+            p.explosion_threshold,
+            threads,
+        )
+    });
+    let forwarding = needs_forwarding.then(|| {
+        run_forwarding_study_streamed(
+            run.label.clone(),
+            &summary,
+            graph(),
+            timeline(),
+            p.forwarding_workload(nodes, window_seconds),
+            p.simulation_runs,
+            threads,
+        )
+    });
+    let activity = needs_activity.then(|| activity_report_streamed(run.label.clone(), &summary));
+    // Every view below reads an output its study computed above.
+    let explosion = || explosion.as_ref().unwrap_or_else(|| unreachable!("explosion precomputed"));
+    let forwarding =
+        || forwarding.as_ref().unwrap_or_else(|| unreachable!("forwarding precomputed"));
+    let activity = || activity.as_ref().unwrap_or_else(|| unreachable!("activity precomputed"));
+    let hop_rates =
+        needs_hop_rates.then(|| run_hop_rate_study(&explosion().sample_paths, &explosion().rates));
+    let hop_rates = || hop_rates.as_ref().unwrap_or_else(|| unreachable!("hop rates precomputed"));
 
     let mut sections = Vec::new();
     for &view in &plan.views {
         let built: Vec<Section> = match view {
-            StudyView::ActivityTimeseries => {
-                vec![outputs
-                    .activity
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("activity precomputed"))
-                    .timeseries_section()]
-            }
-            StudyView::ContactCountCdf => {
-                vec![outputs
-                    .activity
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("activity precomputed"))
-                    .contact_cdf_section()]
-            }
-            StudyView::ExplosionCdfs => {
-                vec![outputs
-                    .explosion
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("explosion precomputed"))
-                    .cdfs_section()]
-            }
-            StudyView::ExplosionScatter => {
-                vec![outputs
-                    .explosion
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("explosion precomputed"))
-                    .scatter_section()]
-            }
-            StudyView::ExplosionGrowth => {
-                vec![outputs
-                    .explosion
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("explosion precomputed"))
-                    .growth_section()]
-            }
-            StudyView::ExplosionPairTypes => {
-                vec![outputs
-                    .explosion
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("explosion precomputed"))
-                    .pair_type_section()]
-            }
-            StudyView::DelayVsSuccess => vec![outputs
-                .forwarding
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("forwarding precomputed"))
-                .delay_vs_success_section()],
-            StudyView::DelayDistributions => vec![outputs
-                .forwarding
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("forwarding precomputed"))
-                .delay_distributions_section()],
-            StudyView::ReceptionTimes => vec![outputs
-                .forwarding
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("forwarding precomputed"))
-                .reception_times_section()],
-            StudyView::PairTypePerformance => vec![outputs
-                .forwarding
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("forwarding precomputed"))
-                .pair_type_section()],
+            StudyView::ActivityTimeseries => vec![activity().timeseries_section()],
+            StudyView::ContactCountCdf => vec![activity().contact_cdf_section()],
+            StudyView::ExplosionCdfs => vec![explosion().cdfs_section()],
+            StudyView::ExplosionScatter => vec![explosion().scatter_section()],
+            StudyView::ExplosionGrowth => vec![explosion().growth_section()],
+            StudyView::ExplosionPairTypes => vec![explosion().pair_type_section()],
+            StudyView::DelayVsSuccess => vec![forwarding().delay_vs_success_section()],
+            StudyView::DelayDistributions => vec![forwarding().delay_distributions_section()],
+            StudyView::ReceptionTimes => vec![forwarding().reception_times_section()],
+            StudyView::PairTypePerformance => vec![forwarding().pair_type_section()],
             StudyView::PathsTaken => {
                 let generator = MessageGenerator::new(MessageWorkloadConfig {
-                    nodes: source.node_count(),
-                    generation_horizon: source.window_duration() * 2.0 / 3.0,
+                    nodes,
+                    generation_horizon: window_seconds * 2.0 / 3.0,
                     mean_interarrival: 4.0,
                     seed: p.paths_taken_seed,
                 });
                 let messages = generator.uniform_messages(p.paths_taken_messages);
-                let graph =
-                    graph.clone().unwrap_or_else(|| unreachable!("paths-taken implies a graph"));
-                let timeline = timeline
-                    .clone()
-                    .unwrap_or_else(|| unreachable!("paths-taken implies a timeline"));
-                let cases = match &source {
-                    RunSource::Materialized(trace) => run_paths_taken_shared(
-                        trace,
-                        graph,
-                        timeline,
-                        &messages,
-                        p.enumeration.clone(),
-                    ),
-                    RunSource::Streamed(summary) => run_paths_taken_streamed(
-                        summary,
-                        graph,
-                        timeline,
-                        &messages,
-                        p.enumeration.clone(),
-                    ),
-                };
-                cases.iter().map(|case| case.section()).collect()
+                run_paths_taken_streamed(
+                    &summary,
+                    graph(),
+                    timeline(),
+                    &messages,
+                    p.enumeration.clone(),
+                )
+                .iter()
+                .map(|case| case.section())
+                .collect()
             }
-            StudyView::HopRateProgression => {
-                vec![outputs
-                    .hop_rates
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("hop rates precomputed"))
-                    .mean_rate_section()]
-            }
+            StudyView::HopRateProgression => vec![hop_rates().mean_rate_section()],
             StudyView::HopRatesTaken => {
-                let study = outputs
-                    .forwarding
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("forwarding precomputed"));
+                let study = forwarding();
                 study
                     .algorithms
                     .iter()
@@ -1330,13 +1224,7 @@ fn compute_run_sections(
                     })
                     .collect()
             }
-            StudyView::RateRatios => {
-                vec![outputs
-                    .hop_rates
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("hop rates precomputed"))
-                    .rate_ratio_section()]
-            }
+            StudyView::RateRatios => vec![hop_rates().rate_ratio_section()],
             StudyView::ModelValidation => {
                 unreachable!("model views are rejected for scenario studies by plan()")
             }
@@ -1359,17 +1247,12 @@ fn compute_run_sections(
 /// peak working set (hot slots + spill scratch + timeline builder) is
 /// recorded on the store for the `--cache` summary.
 fn stream_graph_and_timeline(
-    stream: &mut impl psn_trace::ContactStream,
+    stream: &mut impl ContactStream,
     window: usize,
     needs_timeline: bool,
     store: &ArtifactStore,
-) -> Result<
-    (psn_spacetime::SharedGraph, Option<std::sync::Arc<psn_forwarding::HistoryTimeline>>),
-    ArtifactError,
-> {
-    fn stream_error(context: &str, message: String) -> ArtifactError {
-        ArtifactError::Io { context: context.to_string(), source: std::io::Error::other(message) }
-    }
+) -> Result<(psn_spacetime::SharedGraph, Option<Arc<psn_forwarding::HistoryTimeline>>), ArtifactError>
+{
     let spill = psn_artifact::SlabSlotSpill::in_temp_file()
         .map_err(|e| stream_error("creating streaming spill slab", e.to_string()))?;
     let mut builder =
@@ -1389,11 +1272,9 @@ fn stream_graph_and_timeline(
     .map_err(|e| stream_error("building windowed space-time graph", e.to_string()))?;
     store.record_stream_peak(graph.peak_bytes() + builder_peak);
     let timeline = builder.map(|b| {
-        std::sync::Arc::new(
-            b.finish((0..graph.slot_count()).map(|s| graph.slot_end_time(s)).collect()),
-        )
+        Arc::new(b.finish((0..graph.slot_count()).map(|s| graph.slot_end_time(s)).collect()))
     });
-    Ok((std::sync::Arc::new(graph).into(), timeline))
+    Ok((Arc::new(graph).into(), timeline))
 }
 
 /// Builds the typed `failure-summary` section appended to keep-going
@@ -1586,9 +1467,8 @@ pub fn run_study_with_policy(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::experiments::explosion::run_explosion_study_on;
     use crate::report::JsonRenderer;
-    use psn_trace::generator::{CommunityConfig, ScaledConfig};
+    use psn_trace::generator::{CommunityConfig, HomogeneousConfig, ScaledConfig};
     use psn_trace::{DatasetId, ScenarioConfig};
 
     fn quick_params() -> StudyParams {
@@ -1797,15 +1677,75 @@ mod tests {
             seed: 0xEC0,
         });
         let messages = generator.uniform_messages(10);
-        let direct = run_explosion_study_on(
+        let direct = run_explosion_study_streamed(
             DatasetId::Conext06Morning,
-            &trace,
+            psn_trace::ContactRates::from_trace(&trace),
+            &psn_spacetime::SpaceTimeGraph::build_default(&trace),
             &messages,
             params.enumeration.clone(),
             40,
             2,
         );
-        assert_eq!(report.render(), format!("{}\n", crate::report::render_explosion_cdfs(&direct)));
+        assert_eq!(
+            report.render(),
+            format!("{}\n", TextRenderer.render_section(&direct.cdfs_section()))
+        );
+    }
+
+    #[test]
+    fn materialized_runs_fold_the_pair_matrix_only_for_the_oracle() {
+        // Both arms fold the run's summary with the same rule: only the
+        // forwarding oracle (forwarding and paths-taken runs) reads the
+        // O(nodes²) pair matrix, so explosion and activity runs never
+        // allocate it.
+        let store = ArtifactStore::in_memory();
+        let scenario = dense_scenario(11);
+        let run = PlannedRun { label: scenario.label, config: scenario.config, params: None };
+        for window in [None, Some(16)] {
+            let p = quick_params().with_streaming_window(window);
+            for study in
+                [StudyId::Explosion, StudyId::Activity, StudyId::Forwarding, StudyId::PathsTaken]
+            {
+                let inputs = engine_inputs(&study.views(), &run, &p, &store).unwrap();
+                let oracle = matches!(study, StudyId::Forwarding | StudyId::PathsTaken);
+                assert_eq!(
+                    inputs.summary.pair_counts().len(),
+                    if oracle { 16 * 16 } else { 0 },
+                    "{study}, window {window:?}"
+                );
+                assert_eq!(inputs.graph.is_some(), study != StudyId::Activity, "{study}");
+                assert_eq!(inputs.timeline.is_some(), oracle, "{study}");
+            }
+        }
+    }
+
+    #[test]
+    fn contact_free_activity_run_renders_the_same_on_both_arms() {
+        // A population too sparse to meet in its one-minute window: the
+        // activity study leaves the undefined stationarity stats out
+        // instead of panicking, identically on both arms, and the result
+        // survives the JSON round trip the disk cache relies on.
+        let scenario = StudyScenario::from(ScenarioConfig::Homogeneous(HomogeneousConfig {
+            nodes: 4,
+            window_seconds: 60.0,
+            node_contact_rate: 1e-6,
+            mean_contact_duration: 120.0,
+            seed: 1,
+        }));
+        let materialized =
+            StudySpec::new(StudyId::Activity, vec![scenario.clone()], quick_params());
+        let streaming = StudySpec::new(
+            StudyId::Activity,
+            vec![scenario],
+            quick_params().with_streaming_window(Some(8)),
+        );
+        let base = run_study(&materialized.plan().unwrap());
+        let streamed = run_study(&streaming.plan().unwrap());
+        assert_eq!(base.doc, streamed.doc);
+        assert_eq!(base.render(), streamed.render());
+        assert!(base.render().contains("(cv=-, tail ratio=-)"), "{}", base.render());
+        let json = JsonRenderer.render_json(&base.doc);
+        assert_eq!(JsonRenderer.parse(&json).unwrap(), base.doc);
     }
 
     #[test]

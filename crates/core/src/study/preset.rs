@@ -107,8 +107,8 @@ impl PresetId {
         }
     }
 
-    /// The name of the pre-refactor binary this preset replaces (still
-    /// accepted as a CLI alias, and used by the forwarding shims).
+    /// The name of the pre-refactor binary this preset replaces, still
+    /// accepted as a `--preset` alias.
     pub fn binary_name(&self) -> &'static str {
         match self {
             PresetId::Fig01 => "fig01_contact_timeseries",

@@ -721,38 +721,22 @@ impl Simulator {
         assert!(config.delta > 0.0, "slot length must be positive");
         let graph = std::sync::Arc::new(SpaceTimeGraph::build(trace, config.delta));
         let timeline = std::sync::Arc::new(HistoryTimeline::build(&graph));
-        Self::from_parts(trace, graph, timeline, config)
+        Self::from_streamed_parts(
+            trace.node_count(),
+            TraceOracle::from_trace(trace),
+            graph,
+            timeline,
+            config,
+        )
     }
 
-    /// Builds a simulator around an already-built graph and timeline —
-    /// the artifact-store path, where both are memoized per trace and
-    /// shared across studies, seeds and sweep cells. The parts must belong
-    /// to `trace` (same node count) and to each other, and the graph's
-    /// discretization must match `config.delta`; results are then
-    /// bit-identical to [`Simulator::new`]. The trace is only read during
-    /// construction (node count + oracle fold); the simulator does not
-    /// borrow it afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the parts are inconsistent with the trace or the
-    /// config — a mismatched cache key, never a data-dependent condition.
-    pub fn from_parts(
-        trace: &ContactTrace,
-        graph: impl Into<SharedGraph>,
-        timeline: std::sync::Arc<HistoryTimeline>,
-        config: SimulatorConfig,
-    ) -> Self {
-        let oracle = TraceOracle::from_trace(trace);
-        Self::from_streamed_parts(trace.node_count(), oracle, graph, timeline, config)
-    }
-
-    /// Builds a simulator without a materialized trace — the stream-native
-    /// study path, where the oracle is folded from a
-    /// [`psn_trace::ContactSummary`] during the one streaming pass
-    /// ([`TraceOracle::from_summary`]) and the graph is the bounded-window
-    /// streaming representation. Bit-identical to [`Simulator::from_parts`]
-    /// when the oracle's counts match the trace.
+    /// Builds a simulator around an already-built graph, timeline and
+    /// oracle — the study path, where the graph and timeline are memoized
+    /// by the artifact store (or built by the one streaming pass, over the
+    /// bounded-window representation) and the oracle is folded from the
+    /// run's [`psn_trace::ContactSummary`] ([`TraceOracle::from_summary`]).
+    /// The graph's discretization must match `config.delta`; results are
+    /// then bit-identical to [`Simulator::new`] over the matching trace.
     ///
     /// # Panics
     ///
@@ -2027,8 +2011,9 @@ mod tests {
             let graph = windowed_graph(&trace, window_slots);
             assert!(graph.spill_stores() > 0 || window_slots >= graph.busy_slots().len());
             for threads in [1usize, 2] {
-                let sim = Simulator::from_parts(
-                    &trace,
+                let sim = Simulator::from_streamed_parts(
+                    trace.node_count(),
+                    TraceOracle::from_trace(&trace),
                     std::sync::Arc::clone(&graph),
                     std::sync::Arc::clone(&timeline),
                     SimulatorConfig { delta: 10.0, threads },
@@ -2061,8 +2046,9 @@ mod tests {
         let busy = graph.busy_slots().len() as u64;
         let timeline =
             std::sync::Arc::new(HistoryTimeline::build(&SpaceTimeGraph::build(&trace, 10.0)));
-        let sim = Simulator::from_parts(
-            &trace,
+        let sim = Simulator::from_streamed_parts(
+            trace.node_count(),
+            TraceOracle::from_trace(&trace),
             std::sync::Arc::clone(&graph),
             timeline,
             SimulatorConfig { delta: 10.0, threads: 1 },

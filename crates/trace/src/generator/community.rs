@@ -33,7 +33,7 @@ use crate::contact::Contact;
 use crate::node::{NodeId, NodeRegistry};
 use crate::trace::{ContactTrace, TimeWindow};
 
-use super::config::CommunityConfig;
+use super::config::{assert_valid, CommunityConfig};
 use super::sampling::lognormal_mean_cv;
 
 /// The community a node belongs to under the block assignment used by the
@@ -47,16 +47,9 @@ pub fn community_of(config: &CommunityConfig, node: NodeId) -> usize {
 ///
 /// # Panics
 ///
-/// Panics on degenerate configurations (fewer than two nodes overall, a
-/// non-positive rate, duration or window, or an intra/inter ratio below 1).
+/// Panics when [`CommunityConfig::validate`] rejects the configuration.
 pub fn generate_community(config: &CommunityConfig) -> ContactTrace {
-    assert!(config.communities >= 1, "need at least one community");
-    assert!(config.nodes_per_community >= 1, "communities must be non-empty");
-    assert!(config.total_nodes() >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(config.intra_inter_ratio >= 1.0, "intra/inter ratio must be at least 1");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-    assert!(config.window_seconds > 0.0, "window must be positive");
+    assert_valid(config.validate());
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.total_nodes();

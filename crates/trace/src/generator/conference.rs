@@ -28,7 +28,7 @@ use crate::contact::Contact;
 use crate::node::{NodeClass, NodeId, NodeRegistry};
 use crate::trace::{ContactTrace, TimeWindow};
 
-use super::config::ConferenceConfig;
+use super::config::{assert_valid, ConferenceConfig};
 use super::sampling::{lognormal_mean_cv, thinned_poisson_process};
 use super::scan::apply_inquiry_scan;
 
@@ -43,17 +43,10 @@ impl ConferenceTraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (fewer than two nodes,
-    /// non-positive rates or durations, min rate above max rate).
+    /// Panics when [`ConferenceConfig::validate`] rejects the
+    /// configuration.
     pub fn new(config: ConferenceConfig) -> Self {
-        assert!(config.total_nodes() >= 2, "need at least two nodes");
-        assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-        assert!(
-            config.min_node_rate >= 0.0 && config.min_node_rate < config.max_node_rate,
-            "min node rate must be in [0, max_node_rate)"
-        );
-        assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-        assert!(config.window_seconds > 0.0, "window must be positive");
+        assert_valid(config.validate());
         Self { config }
     }
 

@@ -2,7 +2,62 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::scenario::ScenarioError;
 use crate::Seconds;
+
+/// Panics with the validation message when a generator is handed a config
+/// outside its ranges. The generators assert through this, and
+/// [`crate::ScenarioConfig`]'s parser returns the same `validate` errors,
+/// so each range rule lives in one place.
+///
+/// # Panics
+///
+/// When `checked` is an error.
+pub(crate) fn assert_valid(checked: Result<(), ScenarioError>) {
+    if let Err(e) = checked {
+        panic!("{e}");
+    }
+}
+
+fn require(
+    ok: bool,
+    kind: &str,
+    field: &str,
+    rule: &str,
+    got: impl std::fmt::Display,
+) -> Result<(), ScenarioError> {
+    match ok {
+        true => Ok(()),
+        false => Err(ScenarioError::new(format!("{kind}: field {field:?} {rule}, got {got}"))),
+    }
+}
+
+fn require_nodes(kind: &str, field: &str, nodes: usize, min: usize) -> Result<(), ScenarioError> {
+    require(nodes >= min, kind, field, &format!("must be at least {min}"), nodes)
+}
+
+fn require_window(kind: &str, window_seconds: Seconds) -> Result<(), ScenarioError> {
+    let ok = window_seconds > 0.0 && window_seconds.is_finite();
+    require(ok, kind, "window_seconds", "must be positive and finite", window_seconds)
+}
+
+fn require_positive(kind: &str, field: &str, value: f64) -> Result<(), ScenarioError> {
+    require(value > 0.0, kind, field, "must be positive", value)
+}
+
+fn require_rate_range(
+    kind: &str,
+    min_node_rate: f64,
+    max_node_rate: f64,
+) -> Result<(), ScenarioError> {
+    require_positive(kind, "max_node_rate", max_node_rate)?;
+    let ok = min_node_rate >= 0.0 && min_node_rate < max_node_rate;
+    require(ok, kind, "min_node_rate", "must be in [0, max_node_rate)", min_node_rate)
+}
+
+fn require_cv(kind: &str, cv: f64) -> Result<(), ScenarioError> {
+    require(cv >= 0.0, kind, "contact_duration_cv", "must be non-negative", cv)
+}
 
 /// Time-varying modulation of aggregate contact activity.
 ///
@@ -95,6 +150,19 @@ impl Default for HomogeneousConfig {
     }
 }
 
+impl HomogeneousConfig {
+    /// Checks the ranges [`super::generate_homogeneous`] requires: at
+    /// least two nodes, a positive finite window, a positive contact rate
+    /// and contact duration.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        const KIND: &str = "homogeneous";
+        require_nodes(KIND, "nodes", self.nodes, 2)?;
+        require_window(KIND, self.window_seconds)?;
+        require_positive(KIND, "node_contact_rate", self.node_contact_rate)?;
+        require_positive(KIND, "mean_contact_duration", self.mean_contact_duration)
+    }
+}
+
 /// Configuration for the heterogeneous generator: per-node contact
 /// propensities drawn uniformly, pairwise rates proportional to the product
 /// of propensities.
@@ -122,6 +190,19 @@ impl Default for HeterogeneousConfig {
             mean_contact_duration: 120.0,
             seed: 1,
         }
+    }
+}
+
+impl HeterogeneousConfig {
+    /// Checks the ranges [`super::generate_heterogeneous`] requires: at
+    /// least two nodes, a positive finite window, a positive maximum rate
+    /// and contact duration.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        const KIND: &str = "heterogeneous";
+        require_nodes(KIND, "nodes", self.nodes, 2)?;
+        require_window(KIND, self.window_seconds)?;
+        require_positive(KIND, "max_node_rate", self.max_node_rate)?;
+        require_positive(KIND, "mean_contact_duration", self.mean_contact_duration)
     }
 }
 
@@ -157,6 +238,30 @@ impl CommunityConfig {
     /// Total number of nodes across all communities.
     pub fn total_nodes(&self) -> usize {
         self.communities * self.nodes_per_community
+    }
+
+    /// Checks the ranges [`super::generate_community`] requires: at least
+    /// one non-empty community and two nodes overall, a positive finite
+    /// window, a positive maximum rate and contact duration, an
+    /// intra/inter ratio of at least 1 and a non-negative duration CV.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        const KIND: &str = "community";
+        require_nodes(KIND, "communities", self.communities, 1)?;
+        require_nodes(KIND, "nodes_per_community", self.nodes_per_community, 1)?;
+        let total = self.communities.saturating_mul(self.nodes_per_community);
+        require(
+            total >= 2,
+            KIND,
+            "nodes_per_community",
+            "must give at least 2 nodes overall",
+            total,
+        )?;
+        require_window(KIND, self.window_seconds)?;
+        require_positive(KIND, "max_node_rate", self.max_node_rate)?;
+        let ratio = self.intra_inter_ratio;
+        require(ratio >= 1.0, KIND, "intra_inter_ratio", "must be at least 1", ratio)?;
+        require_positive(KIND, "mean_contact_duration", self.mean_contact_duration)?;
+        require_cv(KIND, self.contact_duration_cv)
     }
 }
 
@@ -208,6 +313,19 @@ impl Default for ScaledConfig {
             mean_contact_duration: 120.0,
             seed: 1,
         }
+    }
+}
+
+impl ScaledConfig {
+    /// Checks the ranges [`super::generate_scaled`] requires: at least two
+    /// nodes, a positive finite window, `0 <= min_node_rate <
+    /// max_node_rate` and a positive contact duration.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        const KIND: &str = "scaled";
+        require_nodes(KIND, "nodes", self.nodes, 2)?;
+        require_window(KIND, self.window_seconds)?;
+        require_rate_range(KIND, self.min_node_rate, self.max_node_rate)?;
+        require_positive(KIND, "mean_contact_duration", self.mean_contact_duration)
     }
 }
 
@@ -269,6 +387,31 @@ impl ConferenceConfig {
     /// Total number of nodes (mobile + stationary).
     pub fn total_nodes(&self) -> usize {
         self.mobile_nodes + self.stationary_nodes
+    }
+
+    /// Checks the ranges [`super::ConferenceTraceGenerator`] requires: at
+    /// least two nodes overall, a positive finite window, `0 <=
+    /// min_node_rate < max_node_rate`, a positive contact duration, a
+    /// non-negative duration CV and a positive inquiry-scan period when
+    /// one is set.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        const KIND: &str = "conference";
+        let total = self.mobile_nodes.saturating_add(self.stationary_nodes);
+        require(
+            total >= 2,
+            KIND,
+            "mobile_nodes",
+            "plus stationary_nodes must be at least 2",
+            total,
+        )?;
+        require_window(KIND, self.window_seconds)?;
+        require_rate_range(KIND, self.min_node_rate, self.max_node_rate)?;
+        require_positive(KIND, "mean_contact_duration", self.mean_contact_duration)?;
+        require_cv(KIND, self.contact_duration_cv)?;
+        match self.inquiry_scan_period {
+            Some(period) => require_positive(KIND, "inquiry_scan_period", period),
+            None => Ok(()),
+        }
     }
 }
 

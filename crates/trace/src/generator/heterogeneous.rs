@@ -21,19 +21,17 @@ use crate::contact::Contact;
 use crate::node::{NodeId, NodeRegistry};
 use crate::trace::{ContactTrace, TimeWindow};
 
-use super::config::HeterogeneousConfig;
+use super::config::{assert_valid, HeterogeneousConfig};
 use super::sampling::{exponential, poisson_process};
 
 /// Generates a heterogeneous-rate contact trace according to `config`.
 ///
 /// # Panics
 ///
-/// Panics on degenerate configurations (fewer than two nodes, non-positive
-/// rates or durations).
+/// Panics when [`HeterogeneousConfig::validate`] rejects the
+/// configuration.
 pub fn generate_heterogeneous(config: &HeterogeneousConfig) -> ContactTrace {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
+    assert_valid(config.validate());
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.nodes;

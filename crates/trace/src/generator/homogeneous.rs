@@ -17,20 +17,18 @@ use crate::contact::Contact;
 use crate::node::{NodeClass, NodeId, NodeRegistry};
 use crate::trace::{ContactTrace, TimeWindow};
 
-use super::config::HomogeneousConfig;
+use super::config::{assert_valid, HomogeneousConfig};
 use super::sampling::{exponential, poisson_process};
 
 /// Generates a homogeneous contact trace according to `config`.
 ///
 /// # Panics
 ///
-/// Panics if the configuration asks for fewer than two nodes or a
-/// non-positive rate/duration (these are programming errors in experiment
-/// setup, not runtime conditions).
+/// Panics when [`HomogeneousConfig::validate`] rejects the configuration
+/// (config files are validated when parsed, so this is a programming
+/// error in experiment setup, not a runtime condition).
 pub fn generate_homogeneous(config: &HomogeneousConfig) -> ContactTrace {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.node_contact_rate > 0.0, "contact rate must be positive");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
+    assert_valid(config.validate());
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.nodes;

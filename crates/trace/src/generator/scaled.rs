@@ -28,7 +28,7 @@ use crate::contact::Contact;
 use crate::node::{NodeId, NodeRegistry};
 use crate::trace::{ContactTrace, TimeWindow};
 
-use super::config::ScaledConfig;
+use super::config::{assert_valid, ScaledConfig};
 use super::sampling::exponential;
 
 /// Draws a node index with probability proportional to its propensity,
@@ -44,17 +44,9 @@ pub(crate) fn sample_node<R: Rng + ?Sized>(rng: &mut R, prefix: &[f64]) -> usize
 ///
 /// # Panics
 ///
-/// Panics on degenerate configurations (fewer than two nodes, non-positive
-/// rates, durations or window, min rate not below max rate).
+/// Panics when [`ScaledConfig::validate`] rejects the configuration.
 pub fn generate_scaled(config: &ScaledConfig) -> ContactTrace {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(
-        config.min_node_rate >= 0.0 && config.min_node_rate < config.max_node_rate,
-        "min node rate must be in [0, max_node_rate)"
-    );
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-    assert!(config.window_seconds > 0.0, "window must be positive");
+    assert_valid(config.validate());
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.nodes;

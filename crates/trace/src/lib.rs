@@ -62,8 +62,8 @@ pub use rates::{ContactRates, RateClass};
 pub use scenario::{ScenarioConfig, ScenarioError, ScenarioSet};
 pub use scenario_stream::ScenarioContactStream;
 pub use stream::{
-    ContactEvent, ContactStream, StreamError, StreamSummary, SyntheticContactStream,
-    SyntheticStreamConfig, TraceEventStream,
+    ContactEvent, ContactStream, StreamError, SyntheticContactStream, SyntheticStreamConfig,
+    TraceEventStream,
 };
 pub use summary::{ContactSummary, SummarizingStream};
 pub use sweep::{ScenarioSweep, SweepAxis, SweepCell};

@@ -174,7 +174,25 @@ impl ScenarioConfig {
         out
     }
 
+    /// Checks the configuration against its generator's ranges (at least
+    /// two nodes, a positive finite window, positive rates and durations,
+    /// …). Every parsed config — TOML, JSON and sweep cells — has passed
+    /// this, so its generator's range asserts cannot fire.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        match self {
+            ScenarioConfig::Conference(c) => c.validate(),
+            ScenarioConfig::Homogeneous(c) => c.validate(),
+            ScenarioConfig::Heterogeneous(c) => c.validate(),
+            ScenarioConfig::Community(c) => c.validate(),
+            ScenarioConfig::Scaled(c) => c.validate(),
+        }
+    }
+
     /// Generates the contact trace for this scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`ScenarioConfig::validate`] rejects the configuration.
     pub fn generate(&self) -> ContactTrace {
         match self {
             ScenarioConfig::Conference(c) => ConferenceTraceGenerator::new(c.clone()).generate(),
@@ -359,6 +377,7 @@ impl ScenarioConfig {
             }
         };
         top.finish()?;
+        scenario.validate()?;
         Ok(scenario)
     }
 
@@ -1199,6 +1218,70 @@ mod tests {
         let err =
             ScenarioConfig::from_toml_str("nodes = 5\n").expect_err("kind is always required");
         assert!(err.to_string().contains("kind"), "{err}");
+    }
+
+    /// Parses `toml`, expecting the range check to reject it with a
+    /// message naming `field`.
+    fn rejected(toml: &str, field: &str) {
+        let err = ScenarioConfig::from_toml_str(toml).expect_err(toml);
+        assert!(err.to_string().contains(&format!("{field:?}")), "{toml}: {err}");
+    }
+
+    #[test]
+    fn homogeneous_out_of_range_configs_are_rejected() {
+        rejected("kind = \"homogeneous\"\nnodes = 1\n", "nodes");
+        rejected("kind = \"homogeneous\"\nwindow_seconds = 0\n", "window_seconds");
+        rejected("kind = \"homogeneous\"\nwindow_seconds = -10\n", "window_seconds");
+        rejected("kind = \"homogeneous\"\nnode_contact_rate = 0\n", "node_contact_rate");
+        rejected("kind = \"homogeneous\"\nmean_contact_duration = 0\n", "mean_contact_duration");
+    }
+
+    #[test]
+    fn heterogeneous_out_of_range_configs_are_rejected() {
+        rejected("kind = \"heterogeneous\"\nnodes = 1\n", "nodes");
+        rejected("kind = \"heterogeneous\"\nwindow_seconds = -10\n", "window_seconds");
+        rejected("kind = \"heterogeneous\"\nmax_node_rate = 0\n", "max_node_rate");
+    }
+
+    #[test]
+    fn community_out_of_range_configs_are_rejected() {
+        rejected("kind = \"community\"\ncommunities = 0\n", "communities");
+        rejected("kind = \"community\"\nnodes_per_community = 0\n", "nodes_per_community");
+        rejected(
+            "kind = \"community\"\ncommunities = 1\nnodes_per_community = 1\n",
+            "nodes_per_community",
+        );
+        rejected("kind = \"community\"\nintra_inter_ratio = 0.5\n", "intra_inter_ratio");
+        rejected("kind = \"community\"\ncontact_duration_cv = -1\n", "contact_duration_cv");
+    }
+
+    #[test]
+    fn scaled_out_of_range_configs_are_rejected() {
+        rejected("kind = \"scaled\"\nnodes = 1\n", "nodes");
+        rejected("kind = \"scaled\"\nmin_node_rate = 5\nmax_node_rate = 1\n", "min_node_rate");
+        rejected("kind = \"scaled\"\nmax_node_rate = 0\n", "max_node_rate");
+    }
+
+    #[test]
+    fn conference_out_of_range_configs_are_rejected() {
+        rejected("kind = \"conference\"\nmobile_nodes = 1\nstationary_nodes = 0\n", "mobile_nodes");
+        rejected("kind = \"conference\"\nwindow_seconds = 0\n", "window_seconds");
+        rejected("kind = \"conference\"\ninquiry_scan_period = 0\n", "inquiry_scan_period");
+    }
+
+    #[test]
+    fn json_and_sweep_cells_are_range_checked_too() {
+        let err = ScenarioConfig::from_json_str(r#"{"kind": "homogeneous", "nodes": 1}"#)
+            .expect_err("json goes through the same check");
+        assert!(err.to_string().contains("\"nodes\""), "{err}");
+        let base = ScenarioConfig::Homogeneous(HomogeneousConfig::default());
+        let err = base.with_field("nodes", 1.0).expect_err("sweep cells too");
+        assert!(err.to_string().contains("\"nodes\""), "{err}");
+        assert!(base.with_field("nodes", 2.0).is_ok());
+        // Every shipped default passes its own generator's ranges.
+        for config in all_default_scenarios() {
+            assert_eq!(config.validate(), Ok(()), "{}", config.kind());
+        }
     }
 
     #[test]

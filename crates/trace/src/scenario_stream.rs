@@ -465,9 +465,6 @@ fn replay_plain_pairs(
 }
 
 fn homogeneous_source(config: &HomogeneousConfig) -> PairMergeSource {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.node_contact_rate > 0.0, "contact rate must be positive");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let pair_rate = config.node_contact_rate / (config.nodes as f64 - 1.0);
     let duration = DurationModel::Exponential { rate: 1.0 / config.mean_contact_duration };
@@ -479,9 +476,6 @@ fn homogeneous_source(config: &HomogeneousConfig) -> PairMergeSource {
 }
 
 fn heterogeneous_source(config: &HeterogeneousConfig) -> PairMergeSource {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let propensities: Vec<f64> = (0..config.nodes).map(|_| rng.gen_range(0.01..1.0)).collect();
     let total: f64 = propensities.iter().sum();
@@ -497,13 +491,6 @@ fn heterogeneous_source(config: &HeterogeneousConfig) -> PairMergeSource {
 }
 
 fn community_source(config: &CommunityConfig) -> PairMergeSource {
-    assert!(config.communities >= 1, "need at least one community");
-    assert!(config.nodes_per_community >= 1, "communities must be non-empty");
-    assert!(config.total_nodes() >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(config.intra_inter_ratio >= 1.0, "intra/inter ratio must be at least 1");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-    assert!(config.window_seconds > 0.0, "window must be positive");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.total_nodes();
     let inter_weight = 1.0 / config.intra_inter_ratio;
@@ -533,7 +520,6 @@ fn community_source(config: &CommunityConfig) -> PairMergeSource {
 }
 
 fn conference_source(config: &ConferenceConfig) -> PairMergeSource {
-    // Constructor asserts match `ConferenceTraceGenerator::new`.
     let generator = ConferenceTraceGenerator::new(config.clone());
     let c = generator.config();
     let mut rng = StdRng::seed_from_u64(c.seed);
@@ -595,14 +581,6 @@ fn conference_source(config: &ConferenceConfig) -> PairMergeSource {
 }
 
 fn scaled_source(config: &ScaledConfig) -> ScaledSource {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(
-        config.min_node_rate >= 0.0 && config.min_node_rate < config.max_node_rate,
-        "min node rate must be in [0, max_node_rate)"
-    );
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-    assert!(config.window_seconds > 0.0, "window must be positive");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let floor = (config.min_node_rate / config.max_node_rate).max(1e-3);
     let propensities: Vec<f64> = (0..config.nodes).map(|_| rng.gen_range(floor..1.0)).collect();
@@ -637,9 +615,11 @@ impl ScenarioConfig {
     ///
     /// # Panics
     ///
-    /// Panics on the same degenerate configurations the generators reject,
-    /// and if `delta` is not strictly positive and finite.
+    /// Panics when [`ScenarioConfig::validate`] rejects the configuration
+    /// (the generators' rule set), and if `delta` is not strictly positive
+    /// and finite.
     pub fn stream(&self, delta: Seconds) -> ScenarioContactStream {
+        crate::generator::config::assert_valid(self.validate());
         let window = TimeWindow::new(0.0, self.window_seconds());
         let source = match self {
             ScenarioConfig::Conference(c) => {

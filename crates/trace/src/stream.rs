@@ -384,44 +384,6 @@ impl ContactStream for SyntheticContactStream {
     }
 }
 
-/// Running aggregate statistics of an event stream — the streamable subset
-/// of what [`crate::rates::ContactRates`] computes from a materialized
-/// trace, folded in O(nodes) state.
-#[derive(Debug, Clone)]
-pub struct StreamSummary {
-    /// Contacts seen (one per `Up` event).
-    pub contacts: usize,
-    /// Per-node contact counts.
-    pub per_node: Vec<u64>,
-    /// Contacts currently active (not yet taken down).
-    pub active: usize,
-    /// Maximum number of simultaneously active contacts observed.
-    pub peak_active: usize,
-}
-
-impl StreamSummary {
-    /// An empty summary over `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        Self { contacts: 0, per_node: vec![0; nodes], active: 0, peak_active: 0 }
-    }
-
-    /// Folds one event into the summary.
-    pub fn observe(&mut self, event: &ContactEvent) {
-        match event {
-            ContactEvent::Up { a, b, .. } => {
-                self.contacts += 1;
-                self.per_node[a.index()] += 1;
-                self.per_node[b.index()] += 1;
-                self.active += 1;
-                self.peak_active = self.peak_active.max(self.active);
-            }
-            ContactEvent::Down { .. } => {
-                self.active = self.active.saturating_sub(1);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -576,23 +538,20 @@ mod tests {
         assert_eq!(events_a, events_b, "same seed, same stream");
         assert!(events_a.len() > 100);
         let mut previous = None;
-        let mut summary = StreamSummary::new(20);
+        let mut ups = 0;
         for event in &events_a {
             let key = (event.slot(), !event.is_down());
             if let Some(prev) = previous {
                 assert!(prev <= key);
             }
             previous = Some(key);
-            summary.observe(event);
             if let ContactEvent::Up { a, b, start, end, .. } = event {
+                ups += 1;
                 assert_ne!(a, b);
                 assert!(*start >= 0.0 && *end <= 2000.0 && start < end);
             }
         }
-        assert_eq!(summary.contacts, events_a.len() / 2);
-        assert_eq!(summary.active, 0, "every up is matched by a down");
-        assert!(summary.peak_active >= 1);
-        assert_eq!(summary.per_node.iter().sum::<u64>(), 2 * summary.contacts as u64);
+        assert_eq!(2 * ups, events_a.len(), "every up is matched by a down");
     }
 
     #[test]

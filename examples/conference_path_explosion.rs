@@ -13,16 +13,32 @@
 //! cargo run --release --example conference_path_explosion
 //! ```
 
-use psn::experiments::explosion::run_explosion_study;
+use psn::experiments::explosion::run_explosion_study_streamed;
 use psn::prelude::*;
-use psn::report;
+use psn::report::TextRenderer;
 
 fn main() {
     let profile = ExperimentProfile::Quick;
     let dataset = DatasetId::Infocom06Morning;
     println!("running the path-explosion study on {dataset} (quick profile)...\n");
 
-    let study = run_explosion_study(profile, dataset, 4);
+    let trace = profile.dataset(dataset).generate();
+    let messages = MessageGenerator::new(MessageWorkloadConfig {
+        nodes: trace.node_count(),
+        generation_horizon: trace.window().duration() * 2.0 / 3.0,
+        mean_interarrival: 4.0,
+        seed: 0xEC0,
+    })
+    .uniform_messages(profile.enumeration_messages());
+    let study = run_explosion_study_streamed(
+        dataset,
+        ContactRates::from_trace(&trace),
+        &SpaceTimeGraph::build_default(&trace),
+        &messages,
+        profile.enumeration_config(),
+        profile.explosion_threshold(),
+        4,
+    );
 
     println!(
         "{} messages analysed, {:.0}% delivered, {:.0}% reached the explosion threshold ({} paths)",
@@ -71,5 +87,5 @@ fn main() {
         );
     }
 
-    println!("\n{}", report::render_explosion_cdfs(&study));
+    println!("\n{}", TextRenderer.render_section(&study.cdfs_section()));
 }

@@ -12,16 +12,29 @@
 //! cargo run --release --example forwarding_comparison
 //! ```
 
-use psn::experiments::forwarding::run_forwarding_study;
+use std::sync::Arc;
+
+use psn::experiments::forwarding::run_forwarding_study_streamed;
 use psn::prelude::*;
-use psn::report;
+use psn::report::TextRenderer;
 
 fn main() {
     let profile = ExperimentProfile::Quick;
     let dataset = DatasetId::Conext06Morning;
     println!("running the forwarding study on {dataset} (quick profile)...\n");
 
-    let study = run_forwarding_study(profile, dataset, 0);
+    let trace = profile.dataset(dataset).generate();
+    let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
+    let timeline = Arc::new(HistoryTimeline::build(&graph));
+    let study = run_forwarding_study_streamed(
+        dataset,
+        &ContactSummary::from_trace(&trace),
+        graph,
+        timeline,
+        profile.workload(trace.node_count()),
+        profile.simulation_runs(),
+        0,
+    );
 
     println!("{} messages per run, {} runs\n", study.messages_per_run, study.runs);
     println!("algorithm              success-rate   avg-delay");
@@ -41,5 +54,5 @@ fn main() {
         "(the paper's observation: algorithms with very different strategies perform similarly)"
     );
 
-    println!("\n{}", report::render_pairtype_performance(&study));
+    println!("\n{}", TextRenderer.render_section(&study.pair_type_section()));
 }

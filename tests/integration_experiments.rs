@@ -2,13 +2,15 @@
 //! figure's data can be produced end-to-end at quick scale and the rendered
 //! text contains the expected series.
 
-use psn::experiments::activity::{activity_report, run_activity_study};
-use psn::experiments::explosion::run_explosion_study_on;
-use psn::experiments::forwarding::run_forwarding_study_on;
+use std::sync::Arc;
+
+use psn::experiments::activity::activity_report_streamed;
+use psn::experiments::explosion::{run_explosion_study_streamed, ExplosionStudy};
+use psn::experiments::forwarding::run_forwarding_study_streamed;
 use psn::experiments::hop_rates::run_hop_rate_study;
-use psn::experiments::paths_taken::run_paths_taken;
+use psn::experiments::paths_taken::run_paths_taken_streamed;
 use psn::prelude::*;
-use psn::report;
+use psn::report::{Section, TextRenderer};
 
 fn small_trace() -> ContactTrace {
     let mut ds = SyntheticDataset::quick_config(DatasetId::Infocom06Morning);
@@ -28,15 +30,46 @@ fn uniform_messages(trace: &ContactTrace, count: usize) -> Vec<Message> {
     .uniform_messages(count)
 }
 
+/// The engine inputs the study pipeline resolves for a materialized run.
+fn engine_inputs(
+    trace: &ContactTrace,
+) -> (ContactSummary, Arc<SpaceTimeGraph>, Arc<HistoryTimeline>) {
+    let graph = Arc::new(SpaceTimeGraph::build_default(trace));
+    let timeline = Arc::new(HistoryTimeline::build(&graph));
+    (ContactSummary::from_trace(trace), graph, timeline)
+}
+
+fn explosion_study(trace: &ContactTrace, messages: &[Message], k: usize) -> ExplosionStudy {
+    run_explosion_study_streamed(
+        DatasetId::Infocom06Morning,
+        ContactRates::from_trace(trace),
+        &SpaceTimeGraph::build_default(trace),
+        messages,
+        EnumerationConfig::quick(k),
+        k,
+        2,
+    )
+}
+
+fn text(section: &Section) -> String {
+    TextRenderer.render_section(section)
+}
+
 #[test]
 fn figure_1_and_7_activity_reports_render() {
-    let reports = run_activity_study(ExperimentProfile::Quick);
+    let reports: Vec<_> = DatasetId::all()
+        .into_iter()
+        .map(|id| {
+            let trace = ExperimentProfile::Quick.dataset(id).generate();
+            activity_report_streamed(id, &ContactSummary::from_trace(&trace))
+        })
+        .collect();
     assert_eq!(reports.len(), 4);
     for r in &reports {
-        let fig1 = report::render_activity(r);
+        let fig1 = text(&r.timeseries_section());
         assert!(fig1.contains("Figure 1"));
         assert!(fig1.lines().count() > 10);
-        let fig7 = report::render_contact_cdf(r);
+        let fig7 = text(&r.contact_cdf_section());
         assert!(fig7.contains("Figure 7"));
         assert!(fig7.contains("value,probability"));
     }
@@ -46,24 +79,17 @@ fn figure_1_and_7_activity_reports_render() {
 fn figures_4_5_6_8_explosion_study_renders() {
     let trace = small_trace();
     let messages = uniform_messages(&trace, 14);
-    let study = run_explosion_study_on(
-        DatasetId::Infocom06Morning,
-        &trace,
-        &messages,
-        EnumerationConfig::quick(40),
-        40,
-        2,
-    );
+    let study = explosion_study(&trace, &messages, 40);
     assert_eq!(study.summary.len(), 14);
 
-    let fig4 = report::render_explosion_cdfs(&study);
+    let fig4 = text(&study.cdfs_section());
     assert!(fig4.contains("Figure 4"));
-    let fig5 = report::render_explosion_scatter(&study);
+    let fig5 = text(&study.scatter_section());
     assert!(fig5.contains("Figure 5"));
     assert!(fig5.contains("optimal_duration_s,time_to_explosion_s"));
-    let fig6 = report::render_explosion_growth(&study);
+    let fig6 = text(&study.growth_section());
     assert!(fig6.contains("Figure 6"));
-    let fig8 = report::render_pairtype_scatter(&study);
+    let fig8 = text(&study.pair_type_section());
     assert!(fig8.contains("Figure 8"));
     for pair in ["in-in", "in-out", "out-in", "out-out"] {
         assert!(fig8.contains(pair), "missing panel {pair}");
@@ -79,19 +105,28 @@ fn figures_9_10_11_13_forwarding_study_renders() {
         mean_interarrival: 20.0,
         seed: 11,
     };
-    let study = run_forwarding_study_on(DatasetId::Infocom06Morning, &trace, workload, 1, 0);
+    let (summary, graph, timeline) = engine_inputs(&trace);
+    let study = run_forwarding_study_streamed(
+        DatasetId::Infocom06Morning,
+        &summary,
+        graph,
+        timeline,
+        workload,
+        1,
+        0,
+    );
 
-    let fig9 = report::render_delay_vs_success(&study);
+    let fig9 = text(&study.delay_vs_success_section());
     assert!(fig9.contains("Figure 9"));
     for kind in AlgorithmKind::all() {
         assert!(fig9.contains(kind.label()), "missing algorithm {kind}");
     }
-    let fig10 = report::render_delay_distributions(&study);
+    let fig10 = text(&study.delay_distributions_section());
     assert!(fig10.contains("Figure 10"));
-    let fig11 = report::render_reception_times(&study);
+    let fig11 = text(&study.reception_times_section());
     assert!(fig11.contains("Figure 11"));
     assert!(fig11.contains("cumulative_deliveries"));
-    let fig13 = report::render_pairtype_performance(&study);
+    let fig13 = text(&study.pair_type_section());
     assert!(fig13.contains("Figure 13"));
     assert!(fig13.contains("out-out"));
 }
@@ -100,10 +135,17 @@ fn figures_9_10_11_13_forwarding_study_renders() {
 fn figure_12_paths_taken_renders() {
     let trace = small_trace();
     let messages = uniform_messages(&trace, 2);
-    let cases = run_paths_taken(&trace, &messages, EnumerationConfig::quick(30));
+    let (summary, graph, timeline) = engine_inputs(&trace);
+    let cases = run_paths_taken_streamed(
+        &summary,
+        graph,
+        timeline,
+        &messages,
+        EnumerationConfig::quick(30),
+    );
     assert_eq!(cases.len(), 2);
     for case in &cases {
-        let fig12 = report::render_paths_taken(case);
+        let fig12 = text(&case.section());
         assert!(fig12.contains("Figure 12"));
         assert!(fig12.contains("algorithm,arrival_offset_s"));
         assert!(fig12.contains("Epidemic"));
@@ -114,28 +156,22 @@ fn figure_12_paths_taken_renders() {
 fn figures_14_15_hop_rates_render() {
     let trace = small_trace();
     let messages = uniform_messages(&trace, 10);
-    let study = run_explosion_study_on(
-        DatasetId::Infocom06Morning,
-        &trace,
-        &messages,
-        EnumerationConfig::quick(30),
-        30,
-        2,
-    );
+    let study = explosion_study(&trace, &messages, 30);
     let hop_study = run_hop_rate_study(&study.sample_paths, &study.rates);
     assert!(hop_study.paths > 0, "need sample paths for the hop analysis");
 
-    let fig14 = report::render_hop_rates(&hop_study);
+    let fig14 = text(&hop_study.mean_rate_section());
     assert!(fig14.contains("Figure 14"));
     assert!(fig14.contains("hop,mean_rate"));
-    let fig15 = report::render_rate_ratios(&hop_study);
+    let fig15 = text(&hop_study.rate_ratio_section());
     assert!(fig15.contains("Figure 15"));
 }
 
 #[test]
 fn activity_report_reflects_trace_identity() {
     let trace = small_trace();
-    let report_struct = activity_report(DatasetId::Infocom06Morning, &trace);
+    let report_struct =
+        activity_report_streamed(DatasetId::Infocom06Morning, &ContactSummary::from_trace(&trace));
     assert_eq!(report_struct.scenario, DatasetId::Infocom06Morning.label());
     assert!(report_struct.per_minute.total() > 0.0);
 }
