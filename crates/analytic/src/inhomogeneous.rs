@@ -22,12 +22,10 @@
 //! and rough magnitudes that the trace-driven experiments (Figs. 8 and 13)
 //! are checked against.
 
-use serde::{Deserialize, Serialize};
-
 use crate::generating_fn::expected_first_path_time;
 
 /// The four source/destination class combinations of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairClass {
     /// High-rate source, high-rate destination.
     InIn,
@@ -63,7 +61,7 @@ impl std::fmt::Display for PairClass {
 }
 
 /// Qualitative/quantitative prediction for one pair class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TwoClassPrediction {
     /// The pair class the prediction is for.
     pub class: PairClass,

@@ -52,5 +52,5 @@ pub mod store;
 pub use disk::DiskTier;
 pub use error::ArtifactError;
 pub use psn_trace::fingerprint::{Fingerprint, FingerprintHasher};
-pub use spill::{CodecSlotSpill, SlabSlotSpill};
+pub use spill::SlabSlotSpill;
 pub use store::{ArtifactKey, ArtifactKind, ArtifactStore, BuiltArtifact, CacheSource, StoreStats};

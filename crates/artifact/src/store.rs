@@ -296,11 +296,6 @@ impl ArtifactStore {
         self.disk.as_ref()
     }
 
-    /// True when resolutions may be cached (i.e. not `--no-cache`).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Acquires the store lock, recovering from poison: the inner map is a
     /// cache of immutable `Arc`s plus counters, and every mutation leaves
     /// it consistent, so a thread that panicked while holding the lock

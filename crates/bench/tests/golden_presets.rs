@@ -4,8 +4,8 @@
 //! The files under `crates/bench/golden/` were captured by running the
 //! original binaries (quick profile, release build) immediately before the
 //! experiment layer was rewritten around the study pipeline. Each preset —
-//! and therefore each legacy shim binary and each `psn-study run --preset`
-//! invocation — must keep reproducing them exactly. Study results are
+//! and therefore each `psn-study run --preset` invocation — must keep
+//! reproducing them exactly. Study results are
 //! independent of the worker-thread count (pinned by differential property
 //! tests in `psn-spacetime` / `psn-forwarding`), so the captures compare
 //! equal at any `--threads` value.

@@ -11,8 +11,7 @@
 //! shortest round-trip form, integers without a decimal point, so
 //! `parse(render(doc)) == doc` (pinned by round-trip tests for all six
 //! studies). Like the scenario config formats, the implementation is
-//! self-contained because the build environment vendors a marker-only
-//! serde.
+//! self-contained because the build has no registry access.
 
 use std::fmt::Write as _;
 

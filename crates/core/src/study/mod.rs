@@ -61,8 +61,8 @@ use crate::experiments::hop_rates::{run_hop_rate_study, run_hop_rate_study_on_ou
 use crate::experiments::model::run_model_validation;
 use crate::experiments::paths_taken::run_paths_taken_streamed;
 use crate::report::{
-    Artifact, Block, CellValue, Column, JsonRenderer, Renderer, ReportDoc, RunMeta, Scalar,
-    Section, Table, TextRenderer,
+    Block, CellValue, Column, JsonRenderer, ReportDoc, RunMeta, Scalar, Section, Table,
+    TextRenderer,
 };
 
 /// The registry of named studies — one per experiment family.
@@ -840,11 +840,6 @@ impl StudyReport {
     /// the pre-refactor binaries printed after their header.
     pub fn render(&self) -> String {
         TextRenderer.render_text(&self.doc)
-    }
-
-    /// Renders the report through any backend.
-    pub fn render_with(&self, renderer: &dyn Renderer) -> Vec<Artifact> {
-        renderer.render(&self.doc)
     }
 
     /// The sections belonging to one scenario label.

@@ -280,7 +280,7 @@ fn spacetime_example_body() -> String {
         let _ = writeln!(out, "slot {slot} (ends at t = {:.0} s):", graph.slot_end_time(slot));
         for node in 0..graph.node_count() as u32 {
             let neighbors: Vec<String> =
-                graph.neighbors(slot, NodeId(node)).iter().map(|n| n.to_string()).collect();
+                graph.slot(slot).neighbors(NodeId(node)).iter().map(|n| n.to_string()).collect();
             let _ = writeln!(
                 out,
                 "  n{node}: zero-weight edges to [{}], wait edge to (n{node}, slot {})",

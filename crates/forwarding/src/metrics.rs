@@ -10,13 +10,12 @@
 use psn_spacetime::{Message, Path};
 use psn_stats::{Ecdf, Summary};
 use psn_trace::{ContactRates, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::pairtype::{classify_message, PairType};
 use crate::simulator::SimulationResult;
 
 /// Outcome of simulating a single message under one algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageOutcome {
     /// The message.
     pub message: Message,
@@ -40,7 +39,7 @@ impl MessageOutcome {
 }
 
 /// Aggregate metrics of one algorithm over one message population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AlgorithmMetrics {
     /// Algorithm name.
     pub algorithm: String,
@@ -112,7 +111,7 @@ impl AlgorithmMetrics {
 }
 
 /// Per-pair-type breakdown of success rate and delay (Fig. 13).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairTypeMetrics {
     /// Algorithm name.
     pub algorithm: String,

@@ -6,13 +6,11 @@
 //! explosion structure (Fig. 8) and the forwarding performance (Fig. 13)
 //! are then broken down by pair type.
 
-use serde::{Deserialize, Serialize};
-
 use psn_spacetime::Message;
 use psn_trace::{ContactRates, RateClass};
 
 /// The four source/destination contact-rate combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PairType {
     /// High-rate source, high-rate destination.
     InIn,

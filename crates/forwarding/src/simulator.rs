@@ -1968,7 +1968,7 @@ mod tests {
             assert!(!graph.busy_slots().is_empty());
             for &slot in graph.busy_slots() {
                 let walked = mask_edges(&timeline, slot);
-                assert_eq!(walked, graph.edges(slot), "seed {seed}, slot {slot}");
+                assert_eq!(walked, graph.slot(slot).edges(), "seed {seed}, slot {slot}");
             }
         }
     }

@@ -276,7 +276,7 @@ impl HistoryTimeline {
     pub fn build(graph: &SpaceTimeGraph) -> Self {
         let mut builder = TimelineBuilder::new(graph.node_count());
         for &slot in graph.busy_slots() {
-            builder.push_slot(slot, graph.edges(slot));
+            builder.push_slot(slot, graph.slot(slot).edges());
         }
         builder.finish((0..graph.slot_count()).map(|s| graph.slot_end_time(s)).collect())
     }
@@ -520,7 +520,7 @@ mod tests {
         let mut history = ContactHistory::new(n);
         for slot in 0..graph.slot_count() {
             let time = graph.slot_end_time(slot);
-            for &(a, b) in graph.edges(slot) {
+            for &(a, b) in graph.slot(slot).edges() {
                 history.record_contact(a, b, slot, time);
             }
             let view = timeline.at_slot(slot);

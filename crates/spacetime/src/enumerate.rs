@@ -70,7 +70,6 @@
 //! Criterion bench hold the two implementations against each other.
 
 use psn_trace::{NodeId, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::arena::{PathArena, PathRef};
 use crate::graph::Slot;
@@ -79,7 +78,7 @@ use crate::path::Path;
 use crate::windowed::GraphRef;
 
 /// Configuration of a path-enumeration run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnumerationConfig {
     /// `k`: the per-node path budget and the per-slot delivery count that
     /// stops enumeration. The paper uses 2000.
@@ -135,7 +134,7 @@ impl EnumerationConfig {
 }
 
 /// One delivery event: a valid path reached the destination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
     /// Absolute delivery time (slot end time), seconds.
     pub time: Seconds,
@@ -145,7 +144,7 @@ pub struct Delivery {
 }
 
 /// The result of enumerating paths for one message.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnumerationResult {
     /// The message that was enumerated.
     pub message: Message,

@@ -18,8 +18,6 @@
 //! message population and exposes the CDFs/scatter series that the figure
 //! drivers print.
 
-use serde::{Deserialize, Serialize};
-
 use psn_stats::{Ecdf, Histogram};
 use psn_trace::Seconds;
 
@@ -31,7 +29,7 @@ use crate::message::Message;
 pub const PATHS_FOR_EXPLOSION: usize = 2000;
 
 /// Per-message path-explosion profile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExplosionProfile {
     /// The message this profile describes.
     pub message: Message,

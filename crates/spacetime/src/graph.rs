@@ -328,78 +328,6 @@ impl SpaceTimeGraph {
         self.window_start + (s as f64 + 1.0) * self.delta
     }
 
-    /// Neighbors of `node` during slot `s` (nodes in contact with it at any
-    /// time during the slot).
-    pub fn neighbors(&self, s: usize, node: NodeId) -> &[NodeId] {
-        &self.slots[s].adjacency[node.index()]
-    }
-
-    /// True if `node` has at least one contact during slot `s`.
-    pub fn has_contacts(&self, s: usize, node: NodeId) -> bool {
-        !self.slots[s].adjacency[node.index()].is_empty()
-    }
-
-    /// Connected-component label of `node` in slot `s` under zero-weight
-    /// (contact) edges. Two nodes with the same label can exchange a message
-    /// within the slot.
-    pub fn component(&self, s: usize, node: NodeId) -> u32 {
-        self.slots[s].component[node.index()]
-    }
-
-    /// True if `a` and `b` can reach each other through zero-weight edges in
-    /// slot `s` (they are in the same contact component and at least one of
-    /// them has a contact).
-    pub fn same_component(&self, s: usize, a: NodeId, b: NodeId) -> bool {
-        if a == b {
-            return true;
-        }
-        self.has_contacts(s, a)
-            && self.has_contacts(s, b)
-            && self.slots[s].component[a.index()] == self.slots[s].component[b.index()]
-    }
-
-    /// All members of `node`'s contact component in slot `s` *including*
-    /// `node` itself, as a borrowed slice of the per-slot component table
-    /// precomputed at build time (ascending node ids). Empty if `node` has
-    /// no contacts in the slot.
-    pub fn component_slice(&self, s: usize, node: NodeId) -> &[NodeId] {
-        let slot = &self.slots[s];
-        if slot.adjacency[node.index()].is_empty() {
-            return &[];
-        }
-        let (start, end) = slot.spans[slot.component[node.index()] as usize];
-        &slot.members[start as usize..end as usize]
-    }
-
-    /// Nodes with at least one contact in slot `s`, ascending — the only
-    /// nodes a path can move to (or from) during the slot.
-    pub fn active_nodes(&self, s: usize) -> &[NodeId] {
-        &self.slots[s].active
-    }
-
-    /// All members of `node`'s contact component in slot `s`, excluding
-    /// `node` itself. Empty if `node` has no contacts in the slot.
-    ///
-    /// Allocates; hot paths should use [`component_slice`](Self::component_slice)
-    /// instead, which returns a borrowed slice (including `node`).
-    pub fn component_members(&self, s: usize, node: NodeId) -> Vec<NodeId> {
-        self.component_slice(s, node).iter().copied().filter(|&m| m != node).collect()
-    }
-
-    /// Number of contact edges in slot `s`.
-    pub fn edge_count(&self, s: usize) -> usize {
-        self.slots[s].edges.len()
-    }
-
-    /// The contact edges of slot `s`, normalized to `(low, high)` node order
-    /// and sorted lexicographically — the same sequence an ascending scan of
-    /// every node's (sorted) neighbor list yields, so consumers that replay
-    /// edges in order are deterministic and match the historical full-scan
-    /// behaviour of the forwarding simulator.
-    pub fn edges(&self, s: usize) -> &[(NodeId, NodeId)] {
-        &self.slots[s].edges
-    }
-
     /// Indices of slots containing at least one contact edge, ascending.
     /// Slot-driven replay loops (forwarding, history construction) iterate
     /// these instead of every slot, so empty stretches of the trace cost
@@ -484,15 +412,15 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.delta(), 10.0);
         // Slot 0: only 1-2 (our ids 0-1) in contact.
-        assert_eq!(g.neighbors(0, NodeId(0)), &[NodeId(1)]);
-        assert_eq!(g.neighbors(0, NodeId(1)), &[NodeId(0)]);
-        assert!(g.neighbors(0, NodeId(2)).is_empty());
-        assert_eq!(g.edge_count(0), 1);
+        assert_eq!(g.slot(0).neighbors(NodeId(0)), &[NodeId(1)]);
+        assert_eq!(g.slot(0).neighbors(NodeId(1)), &[NodeId(0)]);
+        assert!(g.slot(0).neighbors(NodeId(2)).is_empty());
+        assert_eq!(g.slot(0).edge_count(), 1);
         // Slot 1: triangle.
-        assert_eq!(g.neighbors(1, NodeId(0)).len(), 2);
-        assert_eq!(g.edge_count(1), 3);
-        assert!(g.same_component(1, NodeId(0), NodeId(2)));
-        assert!(!g.same_component(0, NodeId(0), NodeId(2)));
+        assert_eq!(g.slot(1).neighbors(NodeId(0)).len(), 2);
+        assert_eq!(g.slot(1).edge_count(), 3);
+        assert!(g.slot(1).same_component(NodeId(0), NodeId(2)));
+        assert!(!g.slot(0).same_component(NodeId(0), NodeId(2)));
     }
 
     #[test]
@@ -523,10 +451,10 @@ mod tests {
         let g = SpaceTimeGraph::build_default(&trace);
         assert_eq!(g.slot_count(), 10);
         for s in 0..=3 {
-            assert!(g.has_contacts(s, NodeId(0)), "slot {s}");
+            assert!(g.slot(s).has_contacts(NodeId(0)), "slot {s}");
         }
         for s in 4..10 {
-            assert!(!g.has_contacts(s, NodeId(0)), "slot {s}");
+            assert!(!g.slot(s).has_contacts(NodeId(0)), "slot {s}");
         }
         assert_eq!(g.total_edges(), 4);
     }
@@ -547,19 +475,19 @@ mod tests {
         )
         .unwrap();
         let g = SpaceTimeGraph::build_default(&trace);
-        assert_eq!(g.edge_count(0), 1);
-        assert_eq!(g.neighbors(0, NodeId(0)), &[NodeId(1)]);
+        assert_eq!(g.slot(0).edge_count(), 1);
+        assert_eq!(g.slot(0).neighbors(NodeId(0)), &[NodeId(1)]);
     }
 
     #[test]
     fn component_members_lists_reachable_nodes() {
         let trace = figure2_trace(10.0);
         let g = SpaceTimeGraph::build_default(&trace);
-        let members = g.component_members(1, NodeId(0));
+        let members = g.slot(1).component_members(NodeId(0));
         assert_eq!(members, vec![NodeId(1), NodeId(2)]);
-        assert!(g.component_members(0, NodeId(2)).is_empty());
+        assert!(g.slot(0).component_members(NodeId(2)).is_empty());
         // Slot 0 component of node 0 excludes node 2.
-        assert_eq!(g.component_members(0, NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(g.slot(0).component_members(NodeId(0)), vec![NodeId(1)]);
     }
 
     #[test]
@@ -567,8 +495,8 @@ mod tests {
         let trace = figure2_trace(10.0);
         let g = SpaceTimeGraph::build_default(&trace);
         // In slot 0, node 2 is isolated; same_component with anyone is false.
-        assert!(!g.same_component(0, NodeId(2), NodeId(0)));
-        assert!(g.same_component(0, NodeId(2), NodeId(2)));
+        assert!(!g.slot(0).same_component(NodeId(2), NodeId(0)));
+        assert!(g.slot(0).same_component(NodeId(2), NodeId(2)));
     }
 
     #[test]
@@ -579,7 +507,7 @@ mod tests {
         assert_eq!(fine.slot_count(), 4);
         assert_eq!(coarse.slot_count(), 1);
         // With one coarse slot everyone is in one component.
-        assert!(coarse.same_component(0, NodeId(0), NodeId(2)));
+        assert!(coarse.slot(0).same_component(NodeId(0), NodeId(2)));
     }
 
     #[test]
@@ -610,8 +538,8 @@ mod tests {
         assert_eq!(g.slot_count(), 5);
         assert_eq!(g.window_start(), 1000.0);
         // The contact lands in slot 1 ([1010, 1020)), matching `build`.
-        assert!(g.has_contacts(1, NodeId(0)));
-        assert!(!g.has_contacts(0, NodeId(0)));
+        assert!(g.slot(1).has_contacts(NodeId(0)));
+        assert!(!g.slot(0).has_contacts(NodeId(0)));
         // Times map back through the same offset convention.
         assert_eq!(g.slot_of_time(1000.0), 0);
         assert_eq!(g.slot_of_time(1012.0), 1);
@@ -627,13 +555,13 @@ mod tests {
         let trace = figure2_trace(10.0);
         let g = SpaceTimeGraph::build_default(&trace);
         // Slot 0: only nodes 0 and 1 are active, in one component.
-        assert_eq!(g.active_nodes(0), &[NodeId(0), NodeId(1)]);
-        assert_eq!(g.component_slice(0, NodeId(0)), &[NodeId(0), NodeId(1)]);
-        assert_eq!(g.component_slice(0, NodeId(1)), &[NodeId(0), NodeId(1)]);
-        assert!(g.component_slice(0, NodeId(2)).is_empty());
+        assert_eq!(g.slot(0).active_nodes(), &[NodeId(0), NodeId(1)]);
+        assert_eq!(g.slot(0).component_slice(NodeId(0)), &[NodeId(0), NodeId(1)]);
+        assert_eq!(g.slot(0).component_slice(NodeId(1)), &[NodeId(0), NodeId(1)]);
+        assert!(g.slot(0).component_slice(NodeId(2)).is_empty());
         // Slot 1: the full triangle, ascending.
-        assert_eq!(g.active_nodes(1), &[NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(g.component_slice(1, NodeId(2)), &[NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(g.slot(1).active_nodes(), &[NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(g.slot(1).component_slice(NodeId(2)), &[NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]
@@ -654,12 +582,12 @@ mod tests {
         )
         .unwrap();
         let g = SpaceTimeGraph::build_default(&trace);
-        assert_eq!(g.component_slice(0, NodeId(0)), &[NodeId(0), NodeId(1)]);
-        assert_eq!(g.component_slice(0, NodeId(3)), &[NodeId(2), NodeId(3)]);
-        assert!(g.component_slice(0, NodeId(4)).is_empty());
-        assert_eq!(g.active_nodes(0), &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(g.slot(0).component_slice(NodeId(0)), &[NodeId(0), NodeId(1)]);
+        assert_eq!(g.slot(0).component_slice(NodeId(3)), &[NodeId(2), NodeId(3)]);
+        assert!(g.slot(0).component_slice(NodeId(4)).is_empty());
+        assert_eq!(g.slot(0).active_nodes(), &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         // The allocating compatibility API agrees with the slices.
-        assert_eq!(g.component_members(0, NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(g.slot(0).component_members(NodeId(0)), vec![NodeId(1)]);
     }
 
     #[test]
@@ -684,23 +612,23 @@ mod tests {
         .unwrap();
         let g = SpaceTimeGraph::build_default(&trace);
         assert_eq!(
-            g.edges(0),
+            g.slot(0).edges(),
             &[(NodeId(0), NodeId(1)), (NodeId(0), NodeId(3)), (NodeId(1), NodeId(4))]
         );
-        assert_eq!(g.edges(1), &[(NodeId(2), NodeId(4))]);
+        assert_eq!(g.slot(1).edges(), &[(NodeId(2), NodeId(4))]);
         // The edge list reproduces the ascending full-adjacency scan.
         for s in 0..g.slot_count() {
             let mut scanned = Vec::new();
             for a in 0..g.node_count() as u32 {
                 let a = NodeId(a);
-                for &b in g.neighbors(s, a) {
+                for &b in g.slot(s).neighbors(a) {
                     if a.0 < b.0 {
                         scanned.push((a, b));
                     }
                 }
             }
-            assert_eq!(g.edges(s), scanned.as_slice(), "slot {s}");
-            assert_eq!(g.edge_count(s), scanned.len());
+            assert_eq!(g.slot(s).edges(), scanned.as_slice(), "slot {s}");
+            assert_eq!(g.slot(s).edge_count(), scanned.len());
         }
     }
 
@@ -722,7 +650,7 @@ mod tests {
         let g = SpaceTimeGraph::build_default(&trace);
         assert_eq!(g.busy_slots(), &[0, 7]);
         for (s, _) in g.busy_slots().iter().map(|&s| (s, ())) {
-            assert!(g.edge_count(s) > 0);
+            assert!(g.slot(s).edge_count() > 0);
         }
         let empty = ContactTrace::new(
             "no-contacts",
@@ -739,6 +667,6 @@ mod tests {
         let g = SpaceTimeGraph::build_default(&trace);
         assert_eq!(g.slot_count(), 5);
         assert_eq!(g.total_edges(), 0);
-        assert!(!g.has_contacts(0, NodeId(0)));
+        assert!(!g.slot(0).has_contacts(NodeId(0)));
     }
 }

@@ -16,13 +16,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use psn_trace::{NodeId, Seconds};
 
 /// A message to be forwarded from `source` to `destination`, created at
 /// `created_at` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Message {
     /// Originating node σ.
     pub source: NodeId,
@@ -48,7 +47,7 @@ impl std::fmt::Display for Message {
 }
 
 /// Configuration of a message workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MessageWorkloadConfig {
     /// Number of nodes to draw endpoints from (ids `0..nodes`).
     pub nodes: usize,

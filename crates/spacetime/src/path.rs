@@ -6,12 +6,10 @@
 //! at its creation time; the last hop is wherever the message currently is
 //! (the destination, for a delivered path).
 
-use serde::{Deserialize, Serialize};
-
 use psn_trace::{NodeId, Seconds};
 
 /// One hop of a path: a node holding the message from time `time` onwards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hop {
     /// The node that received the message at this hop.
     pub node: NodeId,
@@ -21,7 +19,7 @@ pub struct Hop {
 }
 
 /// A time-respecting path through the space-time graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Path {
     hops: Vec<Hop>,
 }

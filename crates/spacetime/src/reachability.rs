@@ -12,13 +12,12 @@
 //! CDFs, and as a cross-check on the enumerator's first-delivery times.
 
 use psn_trace::Seconds;
-use serde::{Deserialize, Serialize};
 
 use crate::message::Message;
 use crate::windowed::GraphRef;
 
 /// The outcome of epidemic flooding for a single message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpidemicOutcome {
     /// The message that was flooded.
     pub message: Message,

@@ -6,12 +6,10 @@
 //! [`BoxPlot`] type computes exactly that five-number summary (plus outliers
 //! under the usual 1.5·IQR rule) from a sample set.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{quantile::quantile_sorted, validated_sorted, StatsError};
 
 /// Five-number summary of a sample set with Tukey-style whiskers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxPlot {
     /// Number of samples.
     pub count: usize,

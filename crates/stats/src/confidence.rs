@@ -6,12 +6,10 @@
 //! so [`ConfidenceInterval`] uses the standard `mean ± z·s/√n` construction
 //! with z-scores for the commonly used levels.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{StatsError, Summary};
 
 /// A symmetric confidence interval on a sample mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate (sample mean).
     pub mean: f64,

@@ -7,15 +7,13 @@
 //! inversion (quantiles) and export of step-function points for plotting or
 //! textual reporting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{quantile::quantile_sorted, validated_sorted, StatsError};
 
 /// An empirical cumulative distribution function over a set of `f64`
 /// samples.
 ///
 /// `F(x) = (# samples <= x) / n`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -234,10 +232,9 @@ mod tests {
         assert!(json.contains("1.0") || json.contains("1"));
     }
 
-    // Minimal serialization smoke test without depending on serde_json:
-    // serialize via the Debug formatting of the serde data model is not
-    // possible, so just check that Serialize is implemented by taking a
-    // reference to the trait object.
+    // Debug-formats the stored samples. Despite the test's name, nothing
+    // here goes through serde: the test only checks that a sample value
+    // survives construction and shows up in the formatted output.
     fn serde_json_like(e: &Ecdf) -> String {
         format!("{:?}", e.samples())
     }

@@ -7,15 +7,13 @@
 //! also supports weighted increments so that cumulative path counts can be
 //! accumulated directly.
 
-use serde::{Deserialize, Serialize};
-
 use crate::StatsError;
 
 /// A histogram with fixed-width bins over `[origin, origin + width * bins)`.
 ///
 /// Values below the range are counted in `underflow`, values at or above the
 /// upper edge in `overflow`, so no observation is silently dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     origin: f64,
     width: f64,

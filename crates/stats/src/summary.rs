@@ -7,10 +7,8 @@
 //! message every 4 seconds for 2 hours, ×10 runs, ×4 datasets, ×6
 //! algorithms).
 
-use serde::{Deserialize, Serialize};
-
 /// Online (single-pass) summary of a stream of `f64` observations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -7,12 +7,10 @@
 //! series, its cumulative form, and simple stationarity diagnostics (the
 //! paper selects windows whose contact rate is "relatively stable").
 
-use serde::{Deserialize, Serialize};
-
 use crate::{StatsError, Summary};
 
 /// Counts of events per fixed-width time bin over `[start, end)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedSeries {
     start: f64,
     bin_width: f64,

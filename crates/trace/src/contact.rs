@@ -6,12 +6,10 @@
 //! we treat contacts as symmetric (if A saw B, both can exchange data in
 //! either direction for the duration of the contact).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{NodeId, Seconds};
 
 /// A single contact between two nodes over a closed time interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Contact {
     /// One endpoint of the contact (the scanning device in iMote logs).
     pub a: NodeId,

@@ -22,14 +22,12 @@
 //!   (same structure) used by integration tests and the quick benchmark
 //!   profile so the workspace stays fast to validate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::generator::config::{ActivityProfile, ConferenceConfig};
 use crate::generator::ConferenceTraceGenerator;
 use crate::trace::ContactTrace;
 
 /// Identifiers for the four synthetic stand-in datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetId {
     /// Synthetic stand-in for Infocom 2006, 9 AM–12 PM.
     Infocom06Morning,
@@ -152,16 +150,6 @@ impl SyntheticDataset {
     /// Generates the contact trace for this dataset.
     pub fn generate(&self) -> ContactTrace {
         ConferenceTraceGenerator::new(self.config.clone()).generate()
-    }
-
-    /// Generates all four paper-scale datasets.
-    pub fn generate_all_paper() -> Vec<(DatasetId, ContactTrace)> {
-        DatasetId::all().into_iter().map(|id| (id, Self::paper_config(id).generate())).collect()
-    }
-
-    /// Generates all four quick datasets.
-    pub fn generate_all_quick() -> Vec<(DatasetId, ContactTrace)> {
-        DatasetId::all().into_iter().map(|id| (id, Self::quick_config(id).generate())).collect()
     }
 }
 

@@ -1,7 +1,5 @@
 //! Generator configuration types.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scenario::ScenarioError;
 use crate::Seconds;
 
@@ -66,7 +64,7 @@ fn require_cv(kind: &str, cv: f64) -> Result<(), ScenarioError> {
 /// (sessions vs. coffee breaks) and, in the afternoon datasets, a noticeable
 /// drop-off in the final half hour. The profile multiplies the base contact
 /// intensity by a factor that captures those effects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActivityProfile {
     /// Constant intensity across the whole window.
     Constant,
@@ -122,7 +120,7 @@ impl ActivityProfile {
 
 /// Configuration for the homogeneous generator (every pair contacts at the
 /// same rate) — the setting of the paper's analytic model in §5.1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HomogeneousConfig {
     /// Number of nodes.
     pub nodes: usize,
@@ -166,7 +164,7 @@ impl HomogeneousConfig {
 /// Configuration for the heterogeneous generator: per-node contact
 /// propensities drawn uniformly, pairwise rates proportional to the product
 /// of propensities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeterogeneousConfig {
     /// Number of nodes.
     pub nodes: usize,
@@ -209,7 +207,7 @@ impl HeterogeneousConfig {
 /// Configuration for the community-structured generator: equal-size node
 /// communities with an intra/inter contact-rate ratio (see
 /// [`super::community`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommunityConfig {
     /// Human-readable name of the generated dataset.
     pub name: String,
@@ -284,7 +282,7 @@ impl Default for CommunityConfig {
 /// Configuration for the scaled-population generator: 500–5000 nodes with
 /// the paper's per-node rate structure preserved via propensity scaling
 /// (see [`super::scaled`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaledConfig {
     /// Human-readable name of the generated dataset.
     pub name: String,
@@ -330,7 +328,7 @@ impl ScaledConfig {
 }
 
 /// Full conference-trace configuration: the stand-in for the iMote datasets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConferenceConfig {
     /// Human-readable name of the generated dataset.
     pub name: String,

@@ -13,8 +13,8 @@
 //!   identities, a start time and an end time, and contacts are treated as
 //!   bidirectional (the paper's assumption);
 //! * a **parser/serializer** for a simple line-oriented text format
-//!   ([`parser`]) plus serde support, so externally collected traces can be
-//!   fed into the toolkit;
+//!   ([`parser`]), so externally collected traces can be fed into the
+//!   toolkit;
 //! * **synthetic trace generators** ([`generator`]) that reproduce the
 //!   statistical structure the paper's analysis depends on — heterogeneous
 //!   per-node contact rates approximately uniform on `(0, max)` (Fig. 7),

@@ -6,14 +6,12 @@
 //! that classification together with an optional human-readable label (the
 //! MAC address in the real traces).
 
-use serde::{Deserialize, Serialize};
-
 /// Compact identifier of a node (device) within a trace.
 ///
 /// Node ids are dense indices `0..N`, which lets the space-time graph and
 /// the forwarding simulator use plain vectors rather than hash maps on the
 /// hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -36,7 +34,7 @@ impl From<u32> for NodeId {
 }
 
 /// Whether a device was carried by a participant or fixed in the venue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeClass {
     /// Carried by a conference participant.
     Mobile,
@@ -54,7 +52,7 @@ impl std::fmt::Display for NodeClass {
 }
 
 /// Metadata for one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeInfo {
     /// Identifier within the trace.
     pub id: NodeId,
@@ -66,7 +64,7 @@ pub struct NodeInfo {
 }
 
 /// The set of nodes participating in a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NodeRegistry {
     nodes: Vec<NodeInfo>,
 }

@@ -12,8 +12,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use psn_stats::{median, Ecdf, Summary};
 
 use crate::node::NodeId;
@@ -22,7 +20,7 @@ use crate::Seconds;
 
 /// Whether a node is in the high-rate ('in') or low-rate ('out') half of the
 /// population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RateClass {
     /// Contact rate above the population median ('in' node in the paper).
     In,
@@ -40,7 +38,7 @@ impl std::fmt::Display for RateClass {
 }
 
 /// Per-node contact-rate statistics for one trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContactRates {
     /// Total number of contacts each node participated in.
     counts: Vec<u64>,

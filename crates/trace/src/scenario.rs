@@ -9,15 +9,12 @@
 //! pipeline and the `psn-study` CLI) consumes without knowing which family
 //! it is running.
 //!
-//! Scenarios are **config-file loadable**. The build environment vendors a
-//! marker-only serde stand-in (no registry access), so the text formats are
-//! implemented here directly: a TOML subset (flat `key = value` pairs plus
+//! Scenarios are **config-file loadable**. The build has no registry access,
+//! so the text formats are implemented here directly: a TOML subset (flat `key = value` pairs plus
 //! one level of `[table]` nesting) and the equivalent JSON object. The same
 //! document model backs both, and [`ScenarioConfig::to_toml_string`] /
 //! [`ScenarioConfig::to_json_string`] round-trip exactly (property-tested),
-//! so configs can be generated, archived and replayed byte-for-byte. When
-//! the real serde is swapped in (see ROADMAP), the derive markers on the
-//! underlying config structs already advertise the right trait bounds.
+//! so configs can be generated, archived and replayed byte-for-byte.
 //!
 //! # Example
 //!
@@ -43,8 +40,6 @@
 //! ```
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
 
 use crate::generator::config::{
     ActivityProfile, CommunityConfig, ConferenceConfig, HeterogeneousConfig, HomogeneousConfig,
@@ -79,7 +74,7 @@ impl std::error::Error for ScenarioError {}
 
 /// One declarative scenario: a workload family plus its generator
 /// configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioConfig {
     /// Conference stand-in (mobile + stationary nodes, activity profile,
     /// optional inquiry scan) — the paper's dataset family.

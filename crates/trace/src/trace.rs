@@ -7,14 +7,12 @@
 //! methodology needs: restricting to a sub-window (the four 3-hour periods),
 //! per-node contact lookup, and iteration in time order.
 
-use serde::{Deserialize, Serialize};
-
 use crate::contact::{Contact, ContactError};
 use crate::node::{NodeId, NodeRegistry};
 use crate::Seconds;
 
 /// A half-open observation window `[start, end)` in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeWindow {
     /// Window start (inclusive).
     pub start: Seconds,
@@ -85,7 +83,7 @@ impl From<ContactError> for TraceError {
 
 /// A complete contact trace: node registry, observation window and a
 /// time-sorted list of contacts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContactTrace {
     name: String,
     nodes: NodeRegistry,

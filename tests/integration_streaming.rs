@@ -153,19 +153,19 @@ fn assert_windowed_matches(trace: &ContactTrace, delta: Seconds, window: usize) 
     let windowed = WindowedSpaceTimeGraph::stream(
         &mut TraceEventStream::new(trace, delta),
         window,
-        Box::new(psn_artifact::CodecSlotSpill::in_temp_dir().unwrap()),
+        Box::new(psn_artifact::SlabSlotSpill::in_temp_file().unwrap()),
     )
     .unwrap();
     assert_eq!(windowed.slot_count(), reference.slot_count());
     let view = GraphRef::from(&windowed);
     for s in (0..reference.slot_count()).rev() {
         let slot = view.slot(s);
-        assert_eq!(slot.edges(), reference.edges(s), "slot {s} edges");
-        assert_eq!(slot.active_nodes(), reference.active_nodes(s), "slot {s} active nodes");
+        assert_eq!(slot.edges(), reference.slot(s).edges(), "slot {s} edges");
+        assert_eq!(slot.active_nodes(), reference.slot(s).active_nodes(), "slot {s} active nodes");
         for node in 0..trace.node_count() as u32 {
             assert_eq!(
                 slot.component(NodeId(node)),
-                reference.component(s, NodeId(node)),
+                reference.slot(s).component(NodeId(node)),
                 "slot {s} component of n{node}"
             );
         }
@@ -201,7 +201,7 @@ fn empty_window_slots_match_the_materialized_graph() {
     let windowed = WindowedSpaceTimeGraph::stream(
         &mut TraceEventStream::new(&trace, 10.0),
         1,
-        Box::new(psn_artifact::CodecSlotSpill::in_temp_dir().unwrap()),
+        Box::new(psn_artifact::SlabSlotSpill::in_temp_file().unwrap()),
     )
     .unwrap();
     // 100 slots, three busy (the contact [500, 520] covers slots 50..=52):
@@ -262,7 +262,7 @@ fn out_of_order_events_are_rejected_not_misfiled() {
     let result = WindowedSpaceTimeGraph::stream(
         &mut OutOfOrderStream { emitted: 0 },
         4,
-        Box::new(psn_artifact::CodecSlotSpill::in_temp_dir().unwrap()),
+        Box::new(psn_artifact::SlabSlotSpill::in_temp_file().unwrap()),
     );
     assert!(
         matches!(
